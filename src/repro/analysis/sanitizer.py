@@ -34,6 +34,13 @@ Checked invariants, by ``SanitizerError.structure``:
   instructions; the unresolved-store set is a subset of the stores and
   contains every incomplete store (the branch-completion gate scans
   only this subset, so a dropped entry breaks memory ordering quietly).
+* ``gate-wakeup`` — missed-wakeup audit of the event-driven branch
+  completion: while no gate event is outstanding (so the next complete
+  phase will skip its retry of the gated branches), no pending branch
+  may have an open completion gate.  The gates are recomputed here from
+  the window and the LSQ, independently of the core's cached oldest
+  incomplete branch.  Configurations that hide false mispredictions
+  retry every cycle and are not audited.
 
 The sanitizer is attached by ``Processor.__init__`` as the *first*
 cycle hook when :meth:`repro.core.CoreConfig.sanitize_enabled` is true,
@@ -44,7 +51,7 @@ of cycle N and are caught by the check at the end of cycle N+1 (with
 
 from __future__ import annotations
 
-from ..core.soa import HEAD, TAIL, ST_DEAD, ST_RETIRED
+from ..core.soa import HEAD, REF_MASK, ST_COMPLETED, ST_DEAD, ST_RETIRED, TAIL
 from ..errors import SanitizerError
 
 #: structures checked, in check order (stable for tests/docs)
@@ -55,6 +62,7 @@ STRUCTURES = (
     "rename-map",
     "commit-order",
     "lsq",
+    "gate-wakeup",
 )
 
 
@@ -91,6 +99,7 @@ class MachineSanitizer:
         self._check_rename_map(proc, linked)
         self._check_commit_order(proc)
         self._check_lsq(proc, linked)
+        self._check_gate_wakeup(proc)
 
     def _fail(self, proc, structure: str, message: str) -> None:
         raise SanitizerError(
@@ -235,8 +244,6 @@ class MachineSanitizer:
         self._last_retired = retired
 
     def _check_lsq(self, proc, linked: list) -> None:
-        from ..core.soa import ST_COMPLETED
-
         lsq = proc.lsq
         pool = proc.pool
         uid_col = pool.uid
@@ -270,3 +277,31 @@ class MachineSanitizer:
                     "the unresolved-store subset (memory ordering gate "
                     "would ignore it)",
                 )
+
+    def _check_gate_wakeup(self, proc) -> None:
+        if proc._gate_event or proc.config.hide_false_mispredictions:
+            return  # the next complete phase retries every gated branch
+        pool = proc.pool
+        state = pool.state
+        orders = pool.order
+        oldest = min(
+            (
+                orders[h]
+                for h in proc._incomplete_branches.values()
+                if not state[h] & (ST_COMPLETED | ST_DEAD)
+            ),
+            default=None,
+        )
+        for ref, token in proc._pending_branches:
+            h = ref & REF_MASK
+            if pool.ref[h] != ref or state[h] & ST_DEAD or token != pool.issue_count[h]:
+                continue  # stale entry: squashed, recycled or reissued
+            if proc._gate_in_order and oldest is not None and oldest < orders[h]:
+                continue
+            if proc._gate_stores and proc.lsq.unresolved_older_stores(h):
+                continue
+            self._fail(
+                proc, "gate-wakeup",
+                f"pending branch {pool.describe(h)} has an open completion "
+                "gate but no gate event is outstanding (missed wakeup)",
+            )

@@ -499,6 +499,18 @@ SOURCE_SUPPRESSIONS: tuple[SourceSuppression, ...] = (
     SourceSuppression(
         rule="same-cycle-war",
         reason=(
+            "gate-event wakeup flag: the complete phase consumes and "
+            "clears it before retrying gated branches; squashes in the "
+            "retire and sequencer phases raise it afterwards, so the "
+            "retry they request runs in next cycle's complete phase — "
+            "the first cycle a per-cycle poll would have seen the "
+            "opened gate too"
+        ),
+        symbols=("Processor._gate_event",),
+    ),
+    SourceSuppression(
+        rule="same-cycle-war",
+        reason=(
             "LSQ entry dicts: retire/sequencer remove or insert entries "
             "after the complete phase's disambiguation walk consumed the "
             "pre-update view — store-to-load visibility is next-cycle by "

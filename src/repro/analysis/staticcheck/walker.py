@@ -246,7 +246,7 @@ class RepoIndex:
           methods run over the tracked class's state (``Processor``'s
           stage mixins).
         * A class whose base is tracked is a backend/specialization and
-          merges into the base (``OrderIndex``'s numpy/stdlib columns).
+          merges into the base (e.g. a variant ``OrderIndex`` column).
         """
         for name in self.classes:
             self.family[name] = name

@@ -138,6 +138,12 @@ class Processor(SequencerStage, BackendStage, RecoveryStage, RetireStage):
         self._ready: list[tuple[int, int, int, int]] = []
         #: gated branches as (packed ref, issue token) pairs
         self._pending_branches: list[tuple[int, int]] = []
+        #: raised by every event that can open a completion gate; the
+        #: complete phase retries _pending_branches only while it is set
+        #: (always, under the false-misprediction oracle: see
+        #: repro.core.stages.backend)
+        self._poll_branches = cfg.hide_false_mispredictions
+        self._gate_event = self._poll_branches
         #: uid -> pool handle of every in-window incomplete branch
         self._incomplete_branches: dict[int, int] = {}
 

@@ -79,7 +79,6 @@ class ReorderBuffer:
         self,
         window_size: int,
         segment_size: int = 1,
-        soa_backend: str | None = None,
         order_scheme: str | None = None,
     ):
         if window_size % segment_size:
@@ -90,7 +89,7 @@ class ReorderBuffer:
         #: the columnar instruction store: exactly the window plus the
         #: two boundary slots, since every slot is freed the moment it
         #: is unlinked at retire/squash
-        self.pool = InstrPool(window_size + 2, backend=soa_backend)
+        self.pool = InstrPool(window_size + 2)
         pool = self.pool
         pool.next[HEAD] = TAIL
         pool.prev[TAIL] = HEAD
@@ -109,12 +108,12 @@ class ReorderBuffer:
         self.segments_allocated = 0
         #: sorted order keys of every linked (alive) instruction — the
         #: incremental position index behind :meth:`index_of`, kept as a
-        #: dense int64 column (:class:`repro.core.soa.OrderIndex`).
+        #: dense int column (:class:`repro.core.soa.OrderIndex`).
         #: Orders are unique under both schemes (a gap is respaced before
         #: it collapses), so one bisect recovers a slot's window position
         #: in O(log n) instead of the O(window) head-to-node scan the
         #: golden-trace matching paid per branch completion.
-        self._alive_orders = OrderIndex(window_size, backend=soa_backend)
+        self._alive_orders = OrderIndex(window_size)
 
     # ------------------------------------------------------------------
     # capacity

@@ -11,23 +11,19 @@ preallocated columns rather than per-instruction Python objects:
   and 1 are the window's permanent head/tail boundary slots.
 * :class:`OrderIndex` — the ROB's sorted order-key column (the position
   index behind ``index_of`` and the sanitizer's ``order-index`` audit)
-  as a preallocated ``int64`` array.  Inserts and removes are C-speed
-  block moves, and a renumber refills the whole column with one
-  vectorized ``arange`` instead of a per-entry list rebuild.
+  as a preallocated stdlib ``array('q')``.  Inserts and removes are
+  C-speed slice moves, lookups are C ``bisect``, and a renumber refills
+  the column with one block copy instead of a per-entry list rebuild.
 * :class:`CompletionWheel` — the completion-event schedule as a
   preallocated ring of slot lists indexed by ``cycle & mask``.  Packed
   slot references and reissue tokens live in two parallel lists per
   slot (structure of arrays, not an array of tuples), so scheduling an
   event allocates nothing.
 
-Two interchangeable backends implement the integer columns: ``numpy``
-(preferred when importable) and a pure-stdlib ``array('q')`` fallback,
-selected per structure by the ``REPRO_SOA`` environment variable
-(``numpy`` | ``fallback``; unset auto-selects by column capacity — see
-:func:`resolve_backend`).  Both
-backends are semantically identical — the golden equivalence suite runs
-the 18 committed cells through each and requires byte-identical
-statistics.
+Every integer column is a stdlib ``array('q')`` at every capacity: the
+hot paths touch one element at a time, and a numpy column, which boxes
+a scalar per access, measured slower at every window size up to 4096
+(EXPERIMENTS.md, "Wide windows").
 
 Deliberately *not* columnar (measured, not assumed):
 
@@ -41,87 +37,35 @@ Deliberately *not* columnar (measured, not assumed):
   order keys would go stale on a ROB renumber, and the subset is
   near-empty in steady state.
 """
-
 from __future__ import annotations
 
-import os
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
 from ..errors import PoolExhausted
 
-try:  # optional dependency: the stdlib fallback is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_SOA=fallback
-    _np = None
-
-#: backends accepted by ``REPRO_SOA`` / :func:`resolve_backend`
-BACKENDS = ("numpy", "fallback")
-
 _MIN_CAPACITY = 64
 
-#: capacity below which auto-selection prefers the stdlib column: numpy's
-#: per-element calls (searchsorted, scalar boxing on compare/assign) cost
-#: more than they save until the column is large enough for its C block
-#: moves and vectorized renumber to amortize them (measured: ~30% slower
-#: at the paper's 256-entry window, ahead by ~4k entries)
-NUMPY_MIN_CAPACITY = 4096
 
-
-def resolve_backend(name: str | None = None, capacity: int | None = None) -> str:
-    """Resolve a backend name (or the ``REPRO_SOA`` env var) to one of
-    :data:`BACKENDS`.
-
-    An explicit name (argument or environment) always wins.  Unset picks
-    numpy only when it is importable *and* the column is large enough to
-    profit (:data:`NUMPY_MIN_CAPACITY`); paper-scale windows go to the
-    stdlib column, which is faster there.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_SOA", "") or None
-    if name is None:
-        if _np is None:
-            return "fallback"
-        if capacity is not None and capacity < NUMPY_MIN_CAPACITY:
-            return "fallback"
-        return "numpy"
-    name = name.lower()
-    if name == "array":  # accepted alias for the stdlib backend
-        name = "fallback"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown SoA backend {name!r}; expected one of {BACKENDS} "
-            "(REPRO_SOA)"
-        )
-    if name == "numpy" and _np is None:
-        raise ValueError("REPRO_SOA=numpy but numpy is not importable")
-    return name
+def _int_column(capacity: int, fill: int = 0) -> array:
+    """A ``capacity``-long ``array('q')`` column holding ``fill``."""
+    return array("q", [fill]) * capacity
 
 
 class OrderIndex:
-    """Sorted ``int64`` column of the window's order keys.
+    """Sorted ``array('q')`` column of the window's order keys.
 
     Supports the exact surface the ROB, the sanitizer and the
     fault-injection layer use: sorted insert/remove by value,
     ``bisect_left`` position lookup, full renumber, and list-like
     indexing (``len``/``[]``/iteration) so audits and injected faults
-    see one flat integer column.  ``OrderIndex(capacity, backend)``
-    builds the backend-specific subclass; both subclasses are
-    semantically identical and golden-gated.
+    see one flat integer column.  The column doubles when it fills.
     """
 
     __slots__ = ("_buf", "_n")
 
-    backend = "abstract"
-
-    def __new__(cls, capacity: int = _MIN_CAPACITY, backend: str | None = None):
-        if cls is OrderIndex:
-            resolved = resolve_backend(backend, capacity)
-            cls = _NumpyOrderIndex if resolved == "numpy" else _ArrayOrderIndex
-        return object.__new__(cls)
-
-    def __init__(self, capacity: int = _MIN_CAPACITY, backend: str | None = None):
-        self._buf = self._alloc(max(int(capacity), _MIN_CAPACITY))
+    def __init__(self, capacity: int = _MIN_CAPACITY):
+        self._buf = _int_column(max(int(capacity), _MIN_CAPACITY))
         self._n = 0
 
     # ------------------------------------------------------------------
@@ -155,15 +99,19 @@ class OrderIndex:
         return list(self._buf[: self._n])
 
     def __repr__(self) -> str:  # debugging aid
-        return f"OrderIndex({self.tolist()!r}, backend={self.backend!r})"
+        return f"OrderIndex({self.tolist()!r})"
 
     # ------------------------------------------------------------------
     # sorted-column operations
 
     def _grow(self) -> None:
-        fresh = self._alloc(2 * len(self._buf))
+        fresh = _int_column(2 * len(self._buf))
         fresh[: self._n] = self._buf[: self._n]
         self._buf = fresh
+
+    def position(self, order: int) -> int:
+        """``bisect_left`` of ``order`` in the column."""
+        return bisect_left(self._buf, order, 0, self._n)
 
     def insert(self, order: int) -> None:
         n = self._n
@@ -173,8 +121,8 @@ class OrderIndex:
         if n and buf[n - 1] < order:  # append fast path (frontier fetch)
             buf[n] = order
         else:
-            i = self.position(order)
-            buf[i + 1 : n + 1] = buf[i:n]  # overlap-safe in both backends
+            i = bisect_left(buf, order, 0, n)
+            buf[i + 1 : n + 1] = buf[i:n]  # overlap-safe slice move
             buf[i] = order
         self._n = n + 1
 
@@ -193,26 +141,28 @@ class OrderIndex:
         self._n = n + 1
 
     def remove(self, order: int) -> None:
+        # Runs once per retired or squashed instruction: the bisect is
+        # inlined rather than routed through position().
         n = self._n
-        i = self.position(order)
         buf = self._buf
+        i = bisect_left(buf, order, 0, n)
         buf[i : n - 1] = buf[i + 1 : n]
         self._n = n - 1
 
     def renumber(self, count: int, spacing: int) -> None:
         """Refill the column with ``spacing * (1..count)`` — the key
-        layout a ROB renumber assigns — in one bulk write."""
+        layout a ROB renumber assigns — in one block copy."""
         while count > len(self._buf):
             self._grow()
-        self._refill(count, spacing)
+        self._buf[:count] = _refill_template(spacing, count)[:count]
         self._n = count
 
     def rebuild(self, orders) -> None:
         """Replace the column's contents with ``orders`` (already sorted)."""
-        orders = list(orders)
+        orders = array("q", orders)
         while len(orders) > len(self._buf):
             self._grow()
-        self._assign(orders)
+        self._buf[: len(orders)] = orders
         self._n = len(orders)
 
 
@@ -226,65 +176,6 @@ def _refill_template(spacing: int, count: int, _cache={}):
         template = array("q", range(spacing, (size + 1) * spacing, spacing))
         _cache[spacing] = template
     return template
-
-
-class _ArrayOrderIndex(OrderIndex):
-    """Stdlib ``array('q')`` column — no dependencies, and the faster
-    choice at paper-scale window sizes."""
-
-    __slots__ = ()
-
-    backend = "fallback"
-
-    @staticmethod
-    def _alloc(capacity: int):
-        return array("q", bytes(8 * capacity))
-
-    def position(self, order: int) -> int:
-        """``bisect_left`` of ``order`` in the column."""
-        return bisect_left(self._buf, order, 0, self._n)
-
-    def remove(self, order: int) -> None:
-        # Same as the base implementation with the position() frame
-        # inlined — removal runs once per retired or squashed instruction.
-        n = self._n
-        buf = self._buf
-        i = bisect_left(buf, order, 0, n)
-        buf[i : n - 1] = buf[i + 1 : n]
-        self._n = n - 1
-
-    def _refill(self, count: int, spacing: int) -> None:
-        self._buf[:count] = _refill_template(spacing, count)[:count]
-
-    def _assign(self, orders: list) -> None:
-        self._buf[: len(orders)] = array("q", orders)
-
-
-class _NumpyOrderIndex(OrderIndex):
-    """numpy ``int64`` column — vectorized renumber/refill, preferred for
-    large windows."""
-
-    __slots__ = ()
-
-    backend = "numpy"
-
-    @staticmethod
-    def _alloc(capacity: int):
-        return _np.empty(capacity, dtype=_np.int64)
-
-    def position(self, order: int) -> int:
-        """``bisect_left`` of ``order`` in the column."""
-        return int(_np.searchsorted(self._buf[: self._n], order))
-
-    def _refill(self, count: int, spacing: int) -> None:
-        template = _refill_template(spacing, count)
-        self._buf[:count] = _np.frombuffer(template, dtype=_np.int64, count=count)
-
-    def _assign(self, orders: list) -> None:
-        self._buf[: len(orders)] = orders
-
-    def tolist(self) -> list[int]:
-        return self._buf[: self._n].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -338,26 +229,25 @@ class InstrPool:
 
     Columns split by type, deliberately:
 
-    * **backend-typed int columns** (``uid``, ``order``, ``prev``,
-      ``next``, ``state``) — the link/ordering/liveness state every
-      hot-path check touches, held as ``array('q')`` or numpy ``int64``
-      per :func:`resolve_backend` (same capacity-aware auto-selection as
-      :class:`OrderIndex`).
+    * **int columns** (``uid``, ``order``, ``prev``, ``next``,
+      ``state``) — the link/ordering/liveness state every hot-path
+      check touches, held as stdlib ``array('q')`` (the same column
+      type as :class:`OrderIndex`).
     * **plain-list columns** (tags, values, addresses, control state) —
-      these hold Python objects or feed statistics/serialization, where
-      a numpy scalar (``np.int64``) leaking out would break JSON
-      checkpoints and identity checks.
+      these hold Python objects or ``None`` sentinels, which a typed
+      array cannot store.
 
     A freed slot keeps its ``uid`` and dead ``state`` bits until the
     slot is reallocated, so stale references held by the ready heap or
     the completion wheel validate (and skip) exactly like the historical
-    dead-node checks; :meth:`alloc` resets every stateful column.
+    dead-node checks; :meth:`alloc` resets every column a dispatch does
+    not overwrite before it is read.
     """
 
     __slots__ = (
         "capacity",
         "allocated_total",
-        # backend-typed int columns
+        # int columns
         "uid",
         "order",
         "prev",
@@ -394,35 +284,22 @@ class InstrPool:
         "outcome_taken",
         "outcome_next_pc",
         "first_issue_cycle",
-        "value_final_cycle",
         "_free",
     )
 
-    backend = "abstract"
-
-    def __new__(cls, capacity: int, backend: str | None = None):
-        if cls is InstrPool:
-            resolved = resolve_backend(backend, capacity)
-            cls = _NumpyInstrPool if resolved == "numpy" else _ArrayInstrPool
-        return object.__new__(cls)
-
-    def __init__(self, capacity: int, backend: str | None = None):
+    def __init__(self, capacity: int):
         capacity = int(capacity)
         if capacity < 3:
             raise ValueError("InstrPool needs the two boundary slots plus one")
         self.capacity = capacity
         self.allocated_total = 0
-        alloc = self._alloc_int_col
-        self.uid = alloc(capacity)
-        self.order = alloc(capacity)
-        self.prev = alloc(capacity)
-        self.next = alloc(capacity)
-        self.state = alloc(capacity)
-        for col in (self.uid, self.order, self.prev, self.next):
-            col[0 : capacity] = self._int_fill(-1, capacity)
+        self.uid = _int_column(capacity, -1)
+        self.order = _int_column(capacity, -1)
+        self.prev = _int_column(capacity, -1)
+        self.next = _int_column(capacity, -1)
         # Unallocated slots read as dead, so an accidentally retained
         # handle behaves like a squashed instruction, never a live one.
-        self.state[0:capacity] = self._int_fill(ST_SQUASHED, capacity)
+        self.state = _int_column(capacity, ST_SQUASHED)
         self.ref = [-1] * capacity
         none_col = [None] * capacity
         self.pc = [-1] * capacity
@@ -451,7 +328,6 @@ class InstrPool:
         self.outcome_taken = [False] * capacity
         self.outcome_next_pc = [0] * capacity
         self.first_issue_cycle = [-1] * capacity
-        self.value_final_cycle = [-1] * capacity
         # Boundary slots: alive (state 0), fixed uids, linked by the ROB.
         self.uid[HEAD] = -1
         self.uid[TAIL] = -2
@@ -471,10 +347,16 @@ class InstrPool:
     def alloc(self, uid: int, pc: int, instr, cycle: int) -> int:
         """Claim a slot for a newly dispatched instruction.
 
-        Resets every stateful column and stamps identity (``uid``,
-        ``ref``, ``pc``, ``instr``, ``dispatch_cycle``); the caller
+        Stamps identity (``uid``, ``ref``, ``pc``, ``instr``,
+        ``dispatch_cycle``) and resets the stateful columns; the caller
         links the slot and assigns its order key.  Raises
         :class:`~repro.errors.PoolExhausted` when no slot is free.
+
+        The prediction columns (``predicted_*``, ``current_*``,
+        ``history_used``) are not reset: dispatch writes all of them
+        through ``_predict_control`` for every control instruction, and
+        every reader is confined to control instructions (the
+        field-access atlas lists the readers; a test pins them).
         """
         free = self._free
         if not free:
@@ -506,16 +388,10 @@ class InstrPool:
         self.fwd_store[h] = None
         self.src1_version[h] = -1
         self.src2_version[h] = -1
-        self.predicted_taken[h] = False
-        self.predicted_next_pc[h] = 0
-        self.history_used[h] = 0
         self.ras_snapshot[h] = None
-        self.current_taken[h] = False
-        self.current_next_pc[h] = 0
         self.outcome_taken[h] = False
         self.outcome_next_pc[h] = 0
         self.first_issue_cycle[h] = -1
-        self.value_final_cycle[h] = -1
         return h
 
     def free(self, h: int) -> None:
@@ -539,40 +415,7 @@ class InstrPool:
         """Diagnostic rendering of a slot (sanitizer/injector messages)."""
         instr = self.instr[h]
         op = instr.op.name if instr is not None else "?"
-        return f"<{int(self.uid[h])}:{self.pc[h]}:{op}>"
-
-
-class _ArrayInstrPool(InstrPool):
-    """Stdlib ``array('q')`` int columns — no dependencies, and the
-    faster choice at paper-scale window sizes."""
-
-    __slots__ = ()
-
-    backend = "fallback"
-
-    @staticmethod
-    def _alloc_int_col(capacity: int):
-        return array("q", bytes(8 * capacity))
-
-    @staticmethod
-    def _int_fill(value: int, count: int):
-        return array("q", [value]) * count
-
-
-class _NumpyInstrPool(InstrPool):
-    """numpy ``int64`` int columns — preferred for large pools."""
-
-    __slots__ = ()
-
-    backend = "numpy"
-
-    @staticmethod
-    def _alloc_int_col(capacity: int):
-        return _np.zeros(capacity, dtype=_np.int64)
-
-    @staticmethod
-    def _int_fill(value: int, count: int):
-        return _np.full(count, value, dtype=_np.int64)
+        return f"<{self.uid[h]}:{self.pc[h]}:{op}>"
 
 
 class CompletionWheel:
@@ -615,7 +458,6 @@ class CompletionWheel:
 
 
 __all__ = [
-    "BACKENDS",
     "CompletionWheel",
     "HEAD",
     "InstrPool",
@@ -634,5 +476,4 @@ __all__ = [
     "ST_RETIRE_GATE",
     "ST_SQUASHED",
     "TAIL",
-    "resolve_backend",
 ]

@@ -6,7 +6,13 @@ consumers — reissuing any whose inputs changed (selective reissue),
 including loads squashed by stores.  Branch completion is gated by the
 configured completion model (Appendix A.2): in-order models consult the
 event-maintained oldest-incomplete-branch cache, store-gated models the
-LSQ's unresolved-store subset.
+LSQ's unresolved-store subset.  A gated branch waits in
+``_pending_branches`` and is retried only on the cycle after an event
+that can open a gate — a branch completing, a store resolving, or a
+squash — so the per-cycle cost follows events, not the number of gated
+branches in a large window.  The false-misprediction oracle
+(``hide_false_mispredictions``) gates on window position, which moves
+without such an event, so that configuration retries every cycle.
 
 All instruction state lives in the columnar pool: the ready heap carries
 pure int tuples ``(eligible, order, uid, handle)`` — the uid in the
@@ -161,7 +167,11 @@ class BackendStage:
                 complete(h)
             refs_due.clear()
             tokens.clear()
-        if self._pending_branches:
+        # Gated branches are rescanned only after an event that can open
+        # a gate (a branch completed, a store resolved, a squash): with
+        # none since the last scan, every retry would fail again.
+        if self._gate_event and self._pending_branches:
+            self._gate_event = self._poll_branches
             still_pending: list[tuple[int, int]] = []
             for ref, token in self._pending_branches:
                 h = ref & REF_MASK
@@ -198,6 +208,7 @@ class BackendStage:
             self._broadcast(h)
         elif instr.f_store:
             self.lsq.store_resolved(h)
+            self._gate_event = True
             self._store_executed(h)
         else:
             self._broadcast(h)
@@ -343,6 +354,7 @@ class BackendStage:
             return False  # oracle delays completion until operands correct
         pool.state[h] |= ST_COMPLETED
         self._any_completed = True
+        self._gate_event = True
         self._incomplete_branches.pop(pool.uid[h], None)
         if self._oldest_gate == h:
             self._oldest_gate_valid = False

@@ -305,6 +305,9 @@ class RecoveryStage:
     def _squash_node(self, h: int) -> None:
         self._needs_remap = True  # captured maps may now reference the dead
         self._map_epoch += 1
+        # A squashed branch or store may have been the last thing holding
+        # a pending branch's completion gate closed.
+        self._gate_event = True
         pool = self.pool
         pool.state[h] |= ST_SQUASHED
         instr = pool.instr[h]

@@ -12,6 +12,7 @@ sanitizer (``REPRO_SANITIZE=1``) actually detect each divergence class.
 from .faultinject import (
     DroppedWakeupFault,
     FaultInjector,
+    GateEventFault,
     LSQDropFault,
     OrderIndexFault,
     PredictorStateFault,
@@ -26,6 +27,7 @@ from .faultinject import (
 __all__ = [
     "DroppedWakeupFault",
     "FaultInjector",
+    "GateEventFault",
     "LSQDropFault",
     "OrderIndexFault",
     "PredictorStateFault",

@@ -34,6 +34,8 @@ one named invariant, so the sanitizer's localization can be asserted:
   destination tag (``sanitizer[broadcast-network]``).
 * :class:`LSQDropFault` — drops an unissued store from the LSQ's
   unresolved-store subset (``sanitizer[lsq]``).
+* :class:`GateEventFault` — loses a gated branch's wakeups, so its
+  opened completion gate goes unnoticed (``sanitizer[gate-wakeup]``).
 
 All randomness comes from a seeded :class:`random.Random`, so every
 injection — trigger point, victim, corruption mask — is reproducible
@@ -48,6 +50,7 @@ from ..cfg import ReconvergenceTable
 from ..core import CoreConfig, CoreStats, GoldenTrace, Processor
 from ..core.soa import (
     HEAD,
+    REF_MASK,
     TAIL,
     ST_COMPLETED,
     ST_DEAD,
@@ -415,7 +418,10 @@ class LSQDropFault(FaultInjector):
     subset, so the machine believes the store's address is resolved and
     lets younger loads and branches proceed against it.  The victim has
     not issued, so it cannot complete (and legitimately leave the
-    subset) before the next sanitizer check.  Caught by
+    subset) before the next sanitizer check.  Leaving the subset is a
+    store-resolution event, so the injector raises the processor's gate
+    event like a real resolution would: branches gated on the victim
+    complete next cycle, as the corruption dictates.  Caught by
     ``sanitizer[lsq]``.
     """
 
@@ -430,9 +436,59 @@ class LSQDropFault(FaultInjector):
                 and pool.issue_count[h] == 0
             ):
                 del proc.lsq._unresolved_stores[uid]
+                proc._gate_event = True
                 self.description = (
                     f"dropped store pc {pool.pc[h]} (uid {uid}) from the "
                     f"unresolved subset at cycle {proc.cycle}"
+                )
+                return True
+        return False
+
+
+class GateEventFault(FaultInjector):
+    """Lose one gated branch's wakeups.
+
+    After the trigger, the first branch waiting on a completion gate
+    becomes the victim: every completion attempt for it reports the
+    gate still closed, as if the branch completions, store resolutions
+    and squashes that open its gate never reached it — the lost-wakeup
+    bug of an event-driven scheduler.  The victim never completes, so
+    retirement wedges behind it; ``sanitizer[gate-wakeup]`` names the
+    fault at the first cycle without a new gate event after its gate
+    opened, long before the forward-progress watchdog sees the wedge.
+    """
+
+    kind = "gate-event"
+
+    def __init__(self, seed: int = 0, trigger_retired: int | None = None):
+        super().__init__(seed, trigger_retired)
+        self.victim_uid: int | None = None
+
+    def arm(self, processor: Processor) -> None:
+        super().arm(processor)
+        original = processor._try_complete_branch
+        uid_col = processor.pool.uid
+
+        def try_complete_branch(h: int) -> bool:
+            if uid_col[h] == self.victim_uid:
+                return False
+            return original(h)
+
+        processor._try_complete_branch = try_complete_branch
+
+    def _inject(self, proc: Processor) -> bool:
+        pool = proc.pool
+        for ref, token in proc._pending_branches:
+            h = ref & REF_MASK
+            if (
+                pool.ref[h] == ref
+                and not pool.state[h] & ST_DEAD
+                and token == pool.issue_count[h]
+            ):
+                self.victim_uid = pool.uid[h]
+                self.description = (
+                    f"lost the wakeups of gated branch pc {pool.pc[h]} "
+                    f"(uid {self.victim_uid}) from cycle {proc.cycle} on"
                 )
                 return True
         return False
@@ -460,6 +516,7 @@ def run_with_fault(
 __all__ = [
     "DroppedWakeupFault",
     "FaultInjector",
+    "GateEventFault",
     "LSQDropFault",
     "OrderIndexFault",
     "PredictorStateFault",

@@ -5,9 +5,17 @@ import pytest
 
 from repro.analysis import STRUCTURES, MachineSanitizer
 from repro.cfg import ReconvergenceTable
-from repro.core import CoreConfig, CoreStats, GoldenTrace, Processor, ReconvPolicy
+from repro.core import (
+    CompletionModel,
+    CoreConfig,
+    CoreStats,
+    GoldenTrace,
+    Processor,
+    ReconvPolicy,
+)
 from repro.errors import ConfigError, SanitizerError
 from repro.robustness import (
+    GateEventFault,
     LSQDropFault,
     OrderIndexFault,
     PredictorStateFault,
@@ -42,6 +50,18 @@ class TestCleanRuns:
         program, golden, table = bundle
         stats = run(program, golden, table, reconv_policy=policy,
                     sanitize=True, sanitize_stride=1)
+        assert stats.retired == len(golden)
+
+    @pytest.mark.parametrize("model", list(CompletionModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "policy", [ReconvPolicy.NONE, ReconvPolicy.POSTDOM], ids=["BASE", "CI"]
+    )
+    def test_no_missed_gate_wakeups(self, bundle, model, policy):
+        """Every completion model keeps the event-driven retry of gated
+        branches complete: the gate-wakeup audit never fires."""
+        program, golden, table = bundle
+        stats = run(program, golden, table, reconv_policy=policy,
+                    completion_model=model, sanitize=True, sanitize_stride=1)
         assert stats.retired == len(golden)
 
     def test_sanitizer_does_not_change_statistics(self, bundle):
@@ -117,6 +137,31 @@ class TestFaultLocalization:
         assert structure in STRUCTURES
         assert f"sanitizer[{structure}]" in str(err)
         assert err.snapshot is not None  # diagnosable from the message alone
+
+    @pytest.mark.parametrize(
+        "model,policy",
+        [
+            (CompletionModel.SPEC_C, ReconvPolicy.NONE),
+            (CompletionModel.SPEC_D, ReconvPolicy.POSTDOM),
+            (CompletionModel.NON_SPEC, ReconvPolicy.POSTDOM),
+        ],
+        ids=["spec-C-BASE", "spec-D-CI", "non-spec-CI"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lost_gate_wakeup_named(self, bundle, model, policy, seed):
+        """A gated branch whose wakeups are lost is caught by the
+        missed-wakeup audit, not left to the watchdog.  (It needs a
+        gated branch to exist, so it is pinned to gating models rather
+        than run over the generated workloads with the other faults.)"""
+        program, golden, table = bundle
+        fault = GateEventFault(seed=seed, trigger_retired=40)
+        cfg = CoreConfig(window_size=128, completion_model=model,
+                         reconv_policy=policy, sanitize=True, sanitize_stride=1)
+        with pytest.raises(SanitizerError) as excinfo:
+            run_with_fault(program, cfg, fault, golden, table)
+        assert fault.fired and fault.description
+        assert excinfo.value.structure == "gate-wakeup"
+        assert "sanitizer[gate-wakeup]" in str(excinfo.value)
 
     @pytest.mark.parametrize("cls,structure", CASES)
     def test_fault_is_deterministic(self, bundle, cls, structure):

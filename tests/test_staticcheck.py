@@ -181,7 +181,20 @@ def test_family_merging(index):
         "RetireStage",
     }
     assert {c.name for c in index.family_members("OrderIndex")} == {
-        "OrderIndex", "_NumpyOrderIndex", "_ArrayOrderIndex",
+        "OrderIndex",
+    }
+
+
+def test_subclass_of_tracked_class_merges_into_its_family(tmp_path):
+    idx = _tree(tmp_path, {"core/columns.py": """
+        class OrderIndex:
+            __slots__ = ("_buf",)
+
+        class _WideOrderIndex(OrderIndex):
+            __slots__ = ()
+    """})
+    assert {c.name for c in idx.family_members("OrderIndex")} == {
+        "OrderIndex", "_WideOrderIndex",
     }
 
 
@@ -218,6 +231,53 @@ def test_atlas_knows_the_arbitration_key_fields(atlas):
     # issue clears ST_IN_READY / sets ST_INFLIGHT in the state column
     assert "issue" in state["write_phases"]
     assert state["declared_in"] == "slots"
+
+
+#: InstrPool columns that ``alloc`` does not reset: dispatch writes every
+#: one of them through ``_predict_control`` for each control instruction
+#: before any read.  Sound only while every reader handles control
+#: instructions alone, so the readers are pinned here.
+UNRESET_PREDICTION_COLUMNS = (
+    "predicted_taken",
+    "predicted_next_pc",
+    "history_used",
+    "current_taken",
+    "current_next_pc",
+)
+
+#: core functions that read those columns only for control instructions:
+#: the completion/recovery/re-predict paths take a branch handle,
+#: ``_history_up_to`` guards on ``f_branch``, the retire-side readers
+#: and ``_dispatch`` on ``f_control``
+CONTROL_ONLY_READERS = frozenset((
+    "backend._try_complete_branch",
+    "backend._would_be_false_misprediction",
+    "recovery._classify_misprediction",
+    "recovery._full_squash",
+    "recovery._history_after",
+    "recovery._history_up_to",
+    "recovery._overturn",
+    "recovery._recover",
+    "recovery._repredict",
+    "retire._check_and_commit",
+    "retire._retire_phase",
+    "sequencer._dispatch",
+    "sequencer._predict_control",
+))
+
+
+def test_unreset_prediction_columns_are_read_on_control_only(atlas):
+    fields = atlas["classes"]["InstrPool"]["fields"]
+    for name in UNRESET_PREDICTION_COLUMNS:
+        field = fields[name]
+        assert "soa.alloc" not in field["writers"], name
+        assert "sequencer._predict_control" in field["writers"], name
+        unexpected = set(field["readers"]) - CONTROL_ONLY_READERS
+        assert not unexpected, (
+            f"InstrPool.{name} gained readers {sorted(unexpected)}: check "
+            "they only read control instructions, or reset the column in "
+            "InstrPool.alloc"
+        )
 
 
 def test_committed_atlas_matches_regeneration(atlas):
