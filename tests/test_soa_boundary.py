@@ -1,97 +1,73 @@
-"""OrderIndex backend parity at the capacity-aware selection boundary.
+"""The array column backend on either side of a 4096-entry capacity.
 
-``resolve_backend`` auto-picks numpy only at or above
-``NUMPY_MIN_CAPACITY`` (~4k), where its block moves amortize; below,
-the stdlib ``array`` column wins.  The two backends must be bit-for-bit
-interchangeable *especially* around that switch point — a capacity-
-dependent behavioral difference would make window size silently change
-simulation results.  These tests drive identical insert / append /
-remove / renumber / rebuild sequences through both backends at
-capacities straddling the boundary (crossing the internal ``_grow``
-doubling as they go) and require identical state at every step, plus
-the selection rules themselves under both ``REPRO_SOA`` overrides.
+The ROB's :class:`OrderIndex` and the :class:`InstrPool` are single
+``array('q')`` column classes; a window of 4096 is the widest the study
+runs.  Window size must never change simulation results, so these tests
+drive the same insert / append / remove / renumber / rebuild sequences
+at capacities straddling 4096 (crossing the order index's internal
+``_grow`` doubling as they go) and require parity with a plain
+sorted-list reference model at every step, plus fill-and-recycle churn
+through the pool at the same capacities.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 import pytest
 
 from repro.core.soa import (
-    BACKENDS,
-    NUMPY_MIN_CAPACITY,
     InstrPool,
     OrderIndex,
+    REF_SHIFT,
     ST_COMPLETED,
     ST_SQUASHED,
-    resolve_backend,
 )
 from repro.isa import Instruction, Op
 
-try:
-    import numpy  # noqa: F401
+BOUNDARY = 4096
 
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
-
-
-@pytest.fixture(autouse=True)
-def clear_soa_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SOA", raising=False)
+_NOP = Instruction(Op.NOP)
 
 
 # ----------------------------------------------------------------------
-# selection rules
+# OrderIndex parity with a sorted-list model
 
 
-def test_auto_selection_boundary():
-    for capacity in (1, 256, NUMPY_MIN_CAPACITY - 1):
-        assert resolve_backend(None, capacity) == "fallback", capacity
-    expected = "numpy" if HAVE_NUMPY else "fallback"
-    for capacity in (NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1, 1 << 20):
-        assert resolve_backend(None, capacity) == expected, capacity
-    # no capacity hint: prefer numpy when importable
-    assert resolve_backend(None, None) == expected
+class _ListOrderIndex:
+    """Reference model of :class:`OrderIndex`: a plain sorted list."""
+
+    def __init__(self):
+        self.keys: list[int] = []
+
+    def __len__(self):
+        return len(self.keys)
+
+    def tolist(self):
+        return list(self.keys)
+
+    def position(self, order):
+        return bisect_left(self.keys, order)
+
+    def insert(self, order):
+        insort(self.keys, order)
+
+    append = insert
+
+    def remove(self, order):
+        del self.keys[bisect_left(self.keys, order)]
+
+    def renumber(self, count, spacing):
+        self.keys = [spacing * (i + 1) for i in range(count)]
+
+    def rebuild(self, orders):
+        self.keys = list(orders)
 
 
-@needs_numpy
-def test_constructor_dispatches_on_capacity():
-    assert OrderIndex(NUMPY_MIN_CAPACITY - 1).backend == "fallback"
-    assert OrderIndex(NUMPY_MIN_CAPACITY).backend == "numpy"
-
-
-def test_env_override_beats_capacity(monkeypatch):
-    monkeypatch.setenv("REPRO_SOA", "fallback")
-    assert OrderIndex(1 << 15).backend == "fallback"
-    monkeypatch.setenv("REPRO_SOA", "array")  # documented alias
-    assert OrderIndex(1 << 15).backend == "fallback"
-    if HAVE_NUMPY:
-        monkeypatch.setenv("REPRO_SOA", "numpy")
-        assert OrderIndex(8).backend == "numpy"
-
-
-def test_unknown_backend_rejected(monkeypatch):
-    with pytest.raises(ValueError, match="unknown SoA backend"):
-        resolve_backend("valarray")
-    monkeypatch.setenv("REPRO_SOA", "valarray")
-    with pytest.raises(ValueError, match="unknown SoA backend"):
-        OrderIndex(16)
-
-
-def test_backends_registry_is_exactly_the_two_columns():
-    assert BACKENDS == ("numpy", "fallback")
-
-
-# ----------------------------------------------------------------------
-# operational parity across the boundary
-
-
-def _drive(index: OrderIndex, size: int) -> list[list[int]]:
+def _drive(index, size: int) -> list[list[int]]:
     """One deterministic op sequence; returns state snapshots per phase.
 
-    ``size`` is chosen to cross the initial capacity (and one ``_grow``
+    ``size`` is chosen to cross the initial capacity (and one internal
     doubling) for every capacity under test.
     """
     snapshots = []
@@ -119,109 +95,19 @@ def _drive(index: OrderIndex, size: int) -> list[list[int]]:
     return snapshots
 
 
-@needs_numpy
-@pytest.mark.parametrize(
-    "capacity",
-    [NUMPY_MIN_CAPACITY - 1, NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1],
-)
+@pytest.mark.parametrize("capacity", [BOUNDARY - 1, BOUNDARY, BOUNDARY + 1])
 def test_backend_parity_at_boundary(capacity):
-    size = NUMPY_MIN_CAPACITY + 128  # crosses every tested capacity
-    a = OrderIndex(capacity, backend="fallback")
-    b = OrderIndex(capacity, backend="numpy")
-    assert a.backend == "fallback" and b.backend == "numpy"
-    for phase, (got_a, got_b) in enumerate(zip(_drive(a, size), _drive(b, size))):
-        assert list(got_a) == list(got_b), f"phase {phase} diverged at capacity {capacity}"
-    assert len(a) == len(b)
-    assert a.tolist() == b.tolist()
-
-
-@needs_numpy
-def test_parity_under_env_overrides(monkeypatch):
-    """The same sequence through env-dispatched columns, both overrides."""
-    results = {}
-    for name in ("fallback", "numpy"):
-        monkeypatch.setenv("REPRO_SOA", name)
-        index = OrderIndex(NUMPY_MIN_CAPACITY)
-        assert index.backend == name
-        results[name] = _drive(index, 600)
-    for phase, (got_a, got_b) in enumerate(
-        zip(results["fallback"], results["numpy"])
-    ):
-        assert list(got_a) == list(got_b), f"phase {phase} diverged"
-
-
-# ----------------------------------------------------------------------
-# InstrPool parity across the same boundary
-
-_NOP = Instruction(Op.NOP)
-
-
-def _drive_pool(pool: InstrPool, count: int) -> list:
-    """Deterministic alloc/mutate/free churn; returns state snapshots."""
-    snapshots = []
-    handles = []
-    uid = 0
-    for _ in range(count):
-        h = pool.alloc(uid, uid * 4, _NOP, uid % 17)
-        pool.order[h] = (uid + 1) << 4
-        pool.state[h] = ST_COMPLETED if uid % 3 else 0
-        handles.append(h)
-        uid += 1
-    # squash-and-recycle waves over the middle of the allocation
-    for wave in range(3):
-        victims = handles[len(handles) // 4 : len(handles) // 2 : 2 + wave]
-        for h in victims:
-            pool.state[h] |= ST_SQUASHED
-            pool.free(h)
-        for _ in victims:
-            h = pool.alloc(uid, uid * 4, _NOP, uid % 17)
-            pool.order[h] = (uid + 1) << 4
-            uid += 1
-    snapshots.append([int(v) for v in pool.uid])
-    snapshots.append([int(v) for v in pool.order])
-    snapshots.append([int(v) for v in pool.state])
-    snapshots.append(list(pool.ref))
-    snapshots.append((pool.live, pool.allocated_total, sorted(pool._free)))
-    return snapshots
-
-
-def test_instr_pool_auto_selection_matches_order_index():
-    assert InstrPool(NUMPY_MIN_CAPACITY - 1).backend == "fallback"
-    expected = "numpy" if HAVE_NUMPY else "fallback"
-    assert InstrPool(NUMPY_MIN_CAPACITY).backend == expected
-
-
-@needs_numpy
-@pytest.mark.parametrize(
-    "capacity",
-    [NUMPY_MIN_CAPACITY - 1, NUMPY_MIN_CAPACITY, NUMPY_MIN_CAPACITY + 1],
-)
-def test_instr_pool_backend_parity_at_boundary(capacity):
-    """Identical alloc/free/column churn through both pool backends at
-    capacities straddling the numpy switch point must leave identical
-    column state — window size must never change simulation results."""
-    a = InstrPool(capacity, backend="fallback")
-    b = InstrPool(capacity, backend="numpy")
-    assert a.backend == "fallback" and b.backend == "numpy"
-    count = capacity - 2  # fill to the brim, then churn
-    for phase, (got_a, got_b) in enumerate(
-        zip(_drive_pool(a, count), _drive_pool(b, count))
-    ):
-        assert got_a == got_b, f"phase {phase} diverged at capacity {capacity}"
-
-
-@needs_numpy
-def test_instr_pool_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SOA", "array")
-    assert InstrPool(NUMPY_MIN_CAPACITY).backend == "fallback"
-    monkeypatch.setenv("REPRO_SOA", "numpy")
-    assert InstrPool(8).backend == "numpy"
+    size = BOUNDARY + 128  # crosses every tested capacity
+    index = OrderIndex(capacity)
+    model = _ListOrderIndex()
+    for phase, (got, want) in enumerate(zip(_drive(index, size), _drive(model, size))):
+        assert got == want, f"phase {phase} diverged at capacity {capacity}"
+    assert len(index) == len(model)
 
 
 def test_sequence_surface_parity_small():
-    """len/getitem/iter/slice surface on the stdlib column (always
-    available), pinned so both backends share one expected answer."""
-    index = OrderIndex(8, backend="fallback")
+    """len/getitem/iter/slice surface the sanitizer and injectors use."""
+    index = OrderIndex(8)
     for value in (10, 30, 20, 40):
         index.insert(value)
     assert len(index) == 4
@@ -233,3 +119,44 @@ def test_sequence_surface_parity_small():
         index[4]
     index[1] = 21
     assert index.tolist() == [10, 21, 30, 40]
+
+
+# ----------------------------------------------------------------------
+# InstrPool churn across the same boundary
+
+
+@pytest.mark.parametrize("capacity", [BOUNDARY - 1, BOUNDARY, BOUNDARY + 1])
+def test_instr_pool_backend_parity_at_boundary(capacity):
+    """Fill the pool to the brim, then run squash-and-recycle waves: the
+    columns must stay self-consistent on either side of 4096 entries."""
+    pool = InstrPool(capacity)
+    count = capacity - 2
+    handles = []
+    uid = 0
+    for _ in range(count):
+        h = pool.alloc(uid, uid * 4, _NOP, uid % 17)
+        pool.order[h] = (uid + 1) << 4
+        pool.state[h] = ST_COMPLETED if uid % 3 else 0
+        handles.append(h)
+        uid += 1
+    assert sorted(handles) == list(range(2, capacity))
+    recycled = 0
+    for wave in range(3):
+        victims = handles[len(handles) // 4 : len(handles) // 2 : 2 + wave]
+        for h in victims:
+            pool.state[h] |= ST_SQUASHED
+            pool.free(h)
+        for h in reversed(victims):  # LIFO: the last freed comes back first
+            assert pool.alloc(uid, uid * 4, _NOP, uid % 17) == h
+            pool.order[h] = (uid + 1) << 4
+            uid += 1
+        recycled += len(victims)
+    assert pool.live == count and not pool._free
+    assert pool.allocated_total == count + recycled
+    uids = [pool.uid[h] for h in range(2, capacity)]
+    assert len(set(uids)) == count
+    for h in range(2, capacity):
+        assert pool.ref[h] == (pool.uid[h] << REF_SHIFT) | h
+        assert pool.order[h] == (pool.uid[h] + 1) << 4
+        assert pool.pc[h] == pool.uid[h] * 4
+        assert pool.is_alive(h)
