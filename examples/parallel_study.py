@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Run a study grid in parallel and benchmark it against the serial path.
+"""Run a study grid on a process pool and print its results.
 
-Fans the experiments × workloads grid across worker processes (the
-tentpole of the harness scaling layer), verifies the rows are
-byte-identical to a serial run, and writes a ``BENCH_parallel.json``
-report with the measured wall-clock speedup.
+Fans the experiments × workloads grid across worker processes and
+prints the assembled results as JSON; rows are byte-identical to a
+serial ``run_study`` (``tests/test_parallel.py`` checks it).
 
 Usage:
     python parallel_study.py --jobs 4
     python parallel_study.py --jobs auto --experiments figure3 figure5 --scale 0.12
-    python parallel_study.py --jobs 4 --skip-serial --checkpoint study.json
+    python parallel_study.py --jobs 4 --checkpoint study.json
     python parallel_study.py --list
-    python parallel_study.py --only figure5:vortex --only figure10 --skip-serial
+    python parallel_study.py --only figure5:vortex --only figure10
 
 ``--jobs`` defaults to the REPRO_JOBS environment variable (else 1);
 ``--cache-dir`` persists the content-addressed golden-trace cache
@@ -23,11 +22,8 @@ subset of study cells, so partial reruns don't need code edits.
 
 import argparse
 import json
-import sys
-import time
 from pathlib import Path
 
-from repro.harness import run_study
 from repro.harness.experiments import EXPERIMENTS, parse_only, validate_experiments
 from repro.harness.parallel import resolve_jobs, run_study_parallel
 from repro.harness.spec import get_spec, spec_names
@@ -72,12 +68,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="persistent artifact-cache directory")
     parser.add_argument(
-        "--skip-serial", action="store_true",
-        help="run only the parallel study (no baseline, no identity check)",
-    )
-    parser.add_argument("--report", type=Path, default=Path("BENCH_parallel.json"),
-                        help="where to write the benchmark report")
-    parser.add_argument(
         "--list", action="store_true",
         help="enumerate registered specs/cells and exit",
     )
@@ -106,58 +96,13 @@ def main(argv=None) -> int:
     print(f"grid: {len(chosen)} experiments x {len(names)} workloads "
           f"{shown}, scale {args.scale}, jobs {jobs}")
 
-    report = {
-        "experiments": chosen,
-        "workloads": list(names),
-        "scale": args.scale,
-        "cells": grid,
-        "jobs": jobs,
-    }
-
-    serial_out = None
-    if not args.skip_serial:
-        print("serial baseline ...", flush=True)
-        t0 = time.perf_counter()
-        serial_out = run_study(
-            experiments=chosen, scale=args.scale, names=names, jobs=1,
-            only=args.only,
-        )
-        report["serial_seconds"] = round(time.perf_counter() - t0, 3)
-        print(f"  {report['serial_seconds']}s, "
-              f"{len(serial_out['failures'])} failed cells")
-
-    print(f"parallel run (jobs={jobs}) ...", flush=True)
-    t0 = time.perf_counter()
-    parallel_out = run_study_parallel(
+    out = run_study_parallel(
         experiments=chosen, scale=args.scale, names=names, jobs=jobs,
         checkpoint_path=args.checkpoint, cache_dir=args.cache_dir,
         only=args.only,
     )
-    report["parallel_seconds"] = round(time.perf_counter() - t0, 3)
-    report["resumed_cells"] = parallel_out["resumed"]
-    report["failed_cells"] = len(parallel_out["failures"])
-    print(f"  {report['parallel_seconds']}s, {parallel_out['resumed']} resumed, "
-          f"{len(parallel_out['failures'])} failed cells")
-
-    if serial_out is not None:
-        identical = json.dumps(serial_out["results"], sort_keys=True) == json.dumps(
-            parallel_out["results"], sort_keys=True
-        )
-        report["rows_identical_to_serial"] = identical
-        if report["parallel_seconds"]:
-            report["speedup"] = round(
-                report["serial_seconds"] / report["parallel_seconds"], 2
-            )
-        print(f"rows identical to serial: {identical}; "
-              f"speedup {report.get('speedup', 'n/a')}x")
-        if not identical:
-            print("ERROR: parallel rows diverge from the serial baseline",
-                  file=sys.stderr)
-            args.report.write_text(json.dumps(report, indent=2) + "\n")
-            return 1
-
-    args.report.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"report written to {args.report}")
+    print(f"{out['resumed']} resumed, {len(out['failures'])} failed cells")
+    print(json.dumps(out["results"], indent=1, sort_keys=True))
     return 0
 
 

@@ -23,7 +23,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.harness import run_spec  # noqa: E402
 from repro.ideal.models import IdealModel  # noqa: E402
 
-#: the goldens were captured at this operating point (see core_bench.py)
+#: the goldens were captured at this operating point (see
+#: tests/test_equivalence.py)
 SCALE = 0.12
 WINDOW = 256
 GOLDEN_PATH = REPO_ROOT / "tests" / "goldens" / "equivalence.pkl"

@@ -89,7 +89,7 @@ class ArbitrationContract:
     #: mirrors repro.core.stats.TIEBREAK_SENSITIVE_FIELDS)
     tiebreak_sensitive: tuple[str, ...]
     #: maximum relative cycles drift between schemes on any cell
-    #: (mirrors examples/core_bench.py CYCLES_CASCADE_TOLERANCE)
+    #: (mirrors repro.core.stats.CYCLES_CASCADE_TOLERANCE)
     cycles_tolerance: float
 
     def describe(self) -> str:
@@ -179,9 +179,9 @@ CONTRACT = ArbitrationContract(
     ),
     # The three mirror fields below are deliberate *literals*: the
     # static checker compares them against their authoritative
-    # definitions (repro.core.stats frozensets, examples/core_bench.py
-    # CYCLES_CASCADE_TOLERANCE), so loosening either side without the
-    # other fails the contract check.
+    # definitions (repro.core.stats ORDER_SCHEME_INVARIANT_FIELDS,
+    # TIEBREAK_SENSITIVE_FIELDS and CYCLES_CASCADE_TOLERANCE), so
+    # loosening either side without the other fails the contract check.
     invariant_fields=("branch_events", "retired"),
     tiebreak_sensitive=(
         "issues_of_retired",

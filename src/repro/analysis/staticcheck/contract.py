@@ -15,9 +15,8 @@ running it:
 * each order scheme's placement routine must reach its declared
   rewrite routine and must not reference the other scheme's;
 * the spec's mirror constants must equal their authoritative
-  definitions (``repro.core.stats`` frozensets; the cascade tolerance
-  is parsed out of ``examples/core_bench.py``'s AST so the analysis
-  never imports example scripts).
+  definitions in ``repro.core.stats`` (the two field sets and the
+  cycles cascade tolerance).
 
 All findings use rule ``arbitration-contract`` at error severity —
 an arbitration drift is never just a warning.
@@ -284,6 +283,7 @@ def check_mirror_constants(
     index: RepoIndex, report: LintReport, contract: ArbitrationContract = CONTRACT
 ) -> None:
     from repro.core.stats import (
+        CYCLES_CASCADE_TOLERANCE,
         ORDER_SCHEME_INVARIANT_FIELDS,
         TIEBREAK_SENSITIVE_FIELDS,
     )
@@ -305,37 +305,13 @@ def check_mirror_constants(
             report, spec_file, 1, "CONTRACT.tiebreak_sensitive",
             f"spec mirror of TIEBREAK_SENSITIVE_FIELDS is out of date",
         )
-    bench = _bench_tolerance(index)
-    if bench is None:
-        _diag(
-            report, "examples/core_bench.py", 1, "CYCLES_CASCADE_TOLERANCE",
-            "could not find CYCLES_CASCADE_TOLERANCE constant in "
-            "examples/core_bench.py",
-        )
-    elif bench != contract.cycles_tolerance:
+    if CYCLES_CASCADE_TOLERANCE != contract.cycles_tolerance:
         _diag(
             report, spec_file, 1, "CONTRACT.cycles_tolerance",
             f"spec says {contract.cycles_tolerance} but "
-            f"examples/core_bench.py declares {bench}",
+            f"repro.core.stats.CYCLES_CASCADE_TOLERANCE is "
+            f"{CYCLES_CASCADE_TOLERANCE}",
         )
-
-
-def _bench_tolerance(index: RepoIndex) -> float | None:
-    """Parse CYCLES_CASCADE_TOLERANCE from the bench script's AST."""
-    path = index.root.parent.parent / "examples" / "core_bench.py"
-    if not path.exists():
-        return None
-    tree = ast.parse(path.read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                if (
-                    isinstance(tgt, ast.Name)
-                    and tgt.id == "CYCLES_CASCADE_TOLERANCE"
-                    and isinstance(node.value, ast.Constant)
-                ):
-                    return float(node.value.value)
-    return None
 
 
 def _file_of(index: RepoIndex, module: str) -> str:

@@ -272,10 +272,7 @@ class InstrPool:
         "prev_addr",
         "store_value",
         "fwd_store",
-        "src1_version",
-        "src2_version",
         # control-state columns
-        "predicted_taken",
         "predicted_next_pc",
         "history_used",
         "ras_snapshot",
@@ -283,7 +280,6 @@ class InstrPool:
         "current_next_pc",
         "outcome_taken",
         "outcome_next_pc",
-        "first_issue_cycle",
         "_free",
     )
 
@@ -317,9 +313,6 @@ class InstrPool:
         self.prev_addr = list(none_col)
         self.store_value = list(none_col)
         self.fwd_store = list(none_col)
-        self.src1_version = [-1] * capacity
-        self.src2_version = [-1] * capacity
-        self.predicted_taken = [False] * capacity
         self.predicted_next_pc = [0] * capacity
         self.history_used = [0] * capacity
         self.ras_snapshot = list(none_col)
@@ -327,7 +320,6 @@ class InstrPool:
         self.current_next_pc = [0] * capacity
         self.outcome_taken = [False] * capacity
         self.outcome_next_pc = [0] * capacity
-        self.first_issue_cycle = [-1] * capacity
         # Boundary slots: alive (state 0), fixed uids, linked by the ROB.
         self.uid[HEAD] = -1
         self.uid[TAIL] = -2
@@ -352,7 +344,7 @@ class InstrPool:
         links the slot and assigns its order key.  Raises
         :class:`~repro.errors.PoolExhausted` when no slot is free.
 
-        The prediction columns (``predicted_*``, ``current_*``,
+        The prediction columns (``predicted_next_pc``, ``current_*``,
         ``history_used``) are not reset: dispatch writes all of them
         through ``_predict_control`` for every control instruction, and
         every reader is confined to control instructions (the
@@ -386,12 +378,9 @@ class InstrPool:
         self.prev_addr[h] = None
         self.store_value[h] = None
         self.fwd_store[h] = None
-        self.src1_version[h] = -1
-        self.src2_version[h] = -1
         self.ras_snapshot[h] = None
         self.outcome_taken[h] = False
         self.outcome_next_pc[h] = 0
-        self.first_issue_cycle[h] = -1
         return h
 
     def free(self, h: int) -> None:

@@ -99,8 +99,6 @@ class BackendStage:
         pool = self.pool
         token = pool.issue_count[h] + 1
         pool.issue_count[h] = token
-        if pool.first_issue_cycle[h] < 0:
-            pool.first_issue_cycle[h] = self.cycle
         state = pool.state
         s = state[h]
         if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
@@ -108,16 +106,8 @@ class BackendStage:
         state[h] = s | ST_INFLIGHT
         instr = pool.instr[h]
         t1, t2 = pool.src1_tag[h], pool.src2_tag[h]
-        if t1 is not None:
-            a = t1.value
-            pool.src1_version[h] = t1.version
-        else:
-            a = 0
-        if t2 is not None:
-            b = t2.value
-            pool.src2_version[h] = t2.version
-        else:
-            b = 0
+        a = t1.value if t1 is not None else 0
+        b = t2.value if t2 is not None else 0
         # Dispatch straight to the shared raw kernels (single semantic
         # definition in repro.isa.instructions) — the ExecResult wrapper
         # evaluate() builds per call is pure allocation on this path.

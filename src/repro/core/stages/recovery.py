@@ -461,7 +461,6 @@ class RecoveryStage:
         pool.current_next_pc[h] = (
             pool.instr[h].target if direction else pool.pc[h] + 1
         )
-        pool.predicted_taken[h] = direction
         self.frontier.fetch_pc = pool.current_next_pc[h]
         self.frontier.ghr = self.frontend.push_history(ctx.ghr, direction)
         self.frontier.rmap = ctx.rmap

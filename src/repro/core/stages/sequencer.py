@@ -157,7 +157,6 @@ class SequencerStage:
             gshare = frontend.gshare
             taken = gshare.table[(pc ^ history) & gshare._index_mask] >= 2
             next_pc = instr.target if taken else pc + 1
-            pool.predicted_taken[h] = taken
             pool.predicted_next_pc[h] = next_pc
             pool.current_taken[h] = taken
             pool.current_next_pc[h] = next_pc
@@ -168,7 +167,6 @@ class SequencerStage:
             return
         pool.history_used[h] = history
         prediction = frontend.predict(instr, pc, history)
-        pool.predicted_taken[h] = prediction.taken
         pool.predicted_next_pc[h] = prediction.next_pc
         pool.current_taken[h] = prediction.taken
         pool.current_next_pc[h] = prediction.next_pc

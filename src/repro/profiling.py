@@ -9,9 +9,9 @@ Two complementary views of where a simulated cell spends its time:
   active in 90% is frontend-bound in the simulated microarchitecture.
 * **host time** — :func:`profile_callable` wraps a cell in
   :mod:`cProfile` and renders the hot functions, answering where the
-  *simulator* (not the simulated machine) burns host CPU.  This is the
-  instrument behind ``examples/core_bench.py --profile`` and the view
-  that drove the hot-loop optimization work.
+  *simulator* (not the simulated machine) burns host CPU for one cell.
+  For a whole study split by layer, ``perfbench/run.py --trace 1`` is
+  the instrument.
 
 Neither view feeds a paper statistic; both are diagnostics.
 """

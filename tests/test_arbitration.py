@@ -37,7 +37,9 @@ from repro.fuzz.oracle import program_bundle
 from repro.harness.experiments import load_bundle, run_core
 
 SCALE = 0.12
-WORKLOADS = ("compress", "go")
+#: jpeg has no golden cells; it is here so its cross-scheme agreement is
+#: checked at all
+WORKLOADS = ("compress", "go", "jpeg")
 CORE_MACHINES = {
     "BASE": dict(window_size=256, reconv_policy=ReconvPolicy.NONE),
     "CI": dict(window_size=256, reconv_policy=ReconvPolicy.POSTDOM),
@@ -180,7 +182,8 @@ def bundles():
 @pytest.mark.parametrize("machine", sorted(CORE_MACHINES))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_golden_cells_obey_contract(bundles, workload, machine, monkeypatch):
-    """Instrumented tie-break logging over the 6 core golden cells."""
+    """Instrumented tie-break logging over the 6 core golden cells and
+    the 3 jpeg cells."""
     stats_by_scheme = {}
     for scheme in ("v1", "v2"):
         recorder = HeapRecorder()

@@ -16,8 +16,8 @@ Two golden generations exist, one per ROB order scheme:
   golden/fuzz corpus the schemes are distinct same-cycle arbitration
   policies and recovery-heavy cells can cascade into timing statistics
   — ``ORDER_SCHEME_INVARIANT_FIELDS`` in :mod:`repro.core.stats`
-  documents what must still agree, and ``examples/core_bench.py``
-  gates it.
+  documents what must still agree, and ``tests/test_arbitration.py``
+  checks it on the golden workloads, jpeg and the fuzz corpus.
 
 Every core cell runs under *both* schemes against its matching
 generation — no tolerances, every golden key compared exactly.  The
@@ -27,7 +27,8 @@ across generations (asserted below) and are gated once.
 The detailed cells are additionally replayed through the array-batched
 driver (all three machines of a workload interleaved cycle-by-cycle in
 one :func:`repro.harness.batch.run_batch` loop) — the batched kernel
-must hit the same goldens, byte for byte.
+must hit the same goldens, byte for byte.  jpeg, which has no golden
+cells, is held to the scalar driver instead.
 """
 
 from __future__ import annotations
@@ -125,6 +126,24 @@ def test_batched_core_row_matches_goldens(goldens, bundles, scheme, workload):
             dataclasses.asdict(stats),
             f"{workload}/{name} batched ({scheme})",
         )
+
+
+@pytest.mark.parametrize("scheme", ORDER_SCHEMES)
+def test_batched_jpeg_row_matches_scalar(scheme):
+    """jpeg has no golden cells: its batch must equal the scalar runs."""
+    bundle = load_bundle("jpeg", SCALE)
+    names = sorted(CORE_MACHINES)
+    configs = [
+        CoreConfig(order_scheme=scheme, **CORE_MACHINES[name]) for name in names
+    ]
+    batched = run_batch([
+        Processor(bundle.program, config, bundle.golden, bundle.reconv)
+        for config in configs
+    ])
+    for name, config, stats in zip(names, configs, batched):
+        assert dataclasses.asdict(stats) == dataclasses.asdict(
+            run_core(bundle, config)
+        ), f"jpeg/{name} ({scheme}): batched driver diverged from scalar"
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -238,7 +238,6 @@ def test_atlas_knows_the_arbitration_key_fields(atlas):
 #: before any read.  Sound only while every reader handles control
 #: instructions alone, so the readers are pinned here.
 UNRESET_PREDICTION_COLUMNS = (
-    "predicted_taken",
     "predicted_next_pc",
     "history_used",
     "current_taken",
