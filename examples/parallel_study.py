@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Run a study grid on a process pool and print its results.
+"""Run a study grid and print its results.
 
-Fans the experiments × workloads grid across worker processes and
-prints the assembled results as JSON; rows are byte-identical to a
-serial ``run_study`` (``tests/test_parallel.py`` checks it).
+Runs the experiments × workloads grid through ``run_study(jobs=)`` —
+in-process with one job, across worker processes with more — and
+prints the assembled results as JSON; rows are byte-identical at every
+job count (``tests/test_parallel.py`` checks it).
 
 Usage:
     python parallel_study.py --jobs 4
@@ -14,7 +15,8 @@ Usage:
 
 ``--jobs`` defaults to the REPRO_JOBS environment variable (else 1);
 ``--cache-dir`` persists the content-addressed golden-trace cache
-across runs (otherwise a per-study temporary directory is used).
+across runs at any job count (otherwise the pool shares a per-study
+temporary directory).
 ``--list`` enumerates every registered spec with its cells and exits;
 ``--only EXPERIMENT[:WORKLOAD]`` (repeatable) restricts the grid to a
 subset of study cells, so partial reruns don't need code edits.
@@ -24,8 +26,13 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.harness.experiments import EXPERIMENTS, parse_only, validate_experiments
-from repro.harness.parallel import resolve_jobs, run_study_parallel
+from repro.harness.experiments import (
+    EXPERIMENTS,
+    parse_only,
+    run_study,
+    validate_experiments,
+)
+from repro.harness.parallel import resolve_jobs
 from repro.harness.spec import get_spec, spec_names
 from repro.workloads import WORKLOAD_NAMES
 
@@ -47,7 +54,7 @@ def list_specs() -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Parallel study execution with golden-trace caching"
+        description="Run the study grid, in-process or on a process pool"
     )
     parser.add_argument(
         "--jobs", default=None,
@@ -96,7 +103,7 @@ def main(argv=None) -> int:
     print(f"grid: {len(chosen)} experiments x {len(names)} workloads "
           f"{shown}, scale {args.scale}, jobs {jobs}")
 
-    out = run_study_parallel(
+    out = run_study(
         experiments=chosen, scale=args.scale, names=names, jobs=jobs,
         checkpoint_path=args.checkpoint, cache_dir=args.cache_dir,
         only=args.only,

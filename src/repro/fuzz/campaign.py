@@ -3,7 +3,9 @@
 One campaign = N generated cases (cycling through the workload
 families), each run through the differential oracle, with every
 divergence shrunk to a minimized reproducer and saved to the corpus.
-The runner composes the PR 1 harness machinery end to end:
+Each case is a :class:`~repro.harness.runner.Cell` run by the study's
+own scheduler, :func:`~repro.harness.parallel.schedule_cells`, which
+gives a campaign:
 
 * per-case wall-clock **timeout** and retry/backoff via
   :class:`~repro.harness.runner.CellRunner` (inside each worker, so no
@@ -17,7 +19,7 @@ The runner composes the PR 1 harness machinery end to end:
   ``WorkerCrash`` rows;
 * a **wall-clock budget** via :class:`~repro.harness.runner.Deadline`:
   cases not dispatched when the budget expires are recorded as skipped
-  and picked up by the next resume.
+  (``BudgetExpired``) and picked up by the next resume.
 
 The returned triage report is plain JSON: counts, cases/sec, the
 divergence signatures grouped by (machine, kind), reproducer paths and
@@ -27,21 +29,16 @@ to triage a multi-hour run from one file.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..harness.parallel import (
-    OUTCOME_CRASHED,
-    OUTCOME_ERROR,
-    OUTCOME_OK,
-    map_resilient,
-)
+from ..harness.parallel import schedule_cells
 from ..harness.runner import (
     Cell,
     CellResult,
-    CellRunner,
     CheckpointStore,
     Deadline,
     RunnerConfig,
@@ -132,8 +129,9 @@ class CampaignConfig:
         variant = self.seed * 1_000_003 + index
         return family_workload_name(family, variant)
 
-    def case_key(self, index: int) -> str:
-        """Checkpoint key: family, oracle config hash, per-case seed."""
+    def case_cell(self, index: int) -> Cell:
+        """Case ``index`` as a scheduler cell: its family workload, the
+        oracle config hash and the scale."""
         digest = config_hash(
             (
                 self.machine_names(),
@@ -147,7 +145,11 @@ class CampaignConfig:
             workload=self.case_workload(index),
             config_hash=digest,
             scale=self.scale,
-        ).key
+        )
+
+    def case_key(self, index: int) -> str:
+        """Checkpoint key: family, oracle config hash, per-case seed."""
+        return self.case_cell(index).key
 
 
 def run_case(
@@ -223,130 +225,39 @@ def run_case(
     return payload
 
 
-def _case_worker(
-    key: str,
-    workload_name: str,
-    machines: tuple[str, ...],
-    mutants: tuple[str, ...],
-    overrides: dict,
-    scale: float,
-    shrink: bool,
-    corpus_dir: str | None,
-    runner_knobs: dict,
-) -> dict:
-    """Worker-side wrapper: timeout + retry inside the worker process."""
-    runner = CellRunner(RunnerConfig(checkpoint_path=None, **runner_knobs))
-    result = runner.run_cell(
-        key,
-        lambda: run_case(
-            workload_name, machines, mutants, overrides, scale, shrink,
-            corpus_dir,
-        ),
+def _run_case_cell(config: CampaignConfig, cell: Cell, prepared) -> dict:
+    """One scheduled campaign case (``cell.workload`` is its family
+    workload); ``prepared`` is unused, campaigns do not batch."""
+    return run_case(
+        cell.workload,
+        config.machine_names(),
+        config.mutants,
+        dict(config.overrides),
+        config.scale,
+        config.shrink,
+        config.corpus_dir,
     )
-    return {
-        "key": result.key,
-        "status": result.status,
-        "value": result.value,
-        "error": result.error,
-        "error_type": result.error_type,
-        "attempts": result.attempts,
-    }
 
 
 def run_campaign(config: CampaignConfig) -> dict:
     """Run (or resume) one campaign; returns the triage report."""
     config = config.validate()
-    machines = config.machine_names()
     started = time.perf_counter()
-    store = (
-        CheckpointStore(config.checkpoint_path, flush_every=config.flush_every)
+    cells = [config.case_cell(index) for index in range(config.cases)]
+    outcomes = schedule_cells(
+        cells,
+        functools.partial(_run_case_cell, config),
+        config.jobs,
+        store=CheckpointStore(config.checkpoint_path, flush_every=config.flush_every)
         if config.checkpoint_path is not None
-        else None
+        else None,
+        policy=RunnerConfig(
+            timeout_seconds=config.timeout_seconds,
+            max_attempts=config.max_attempts,
+        ),
+        deadline=Deadline.after(config.budget_seconds),
     )
-    deadline = Deadline.after(config.budget_seconds)
-    overrides = dict(config.overrides)
-    runner_knobs = {
-        "timeout_seconds": config.timeout_seconds,
-        "max_attempts": config.max_attempts,
-    }
-
-    outcomes: dict[str, CellResult] = {}
-    keys = [config.case_key(index) for index in range(config.cases)]
-    pending: list[int] = []
-    for index, key in enumerate(keys):
-        if store is not None and store.completed(key):
-            outcomes[key] = CellResult(
-                key=key, status="ok", value=store.value(key),
-                attempts=0, resumed=True,
-            )
-        else:
-            pending.append(index)
-
-    def settle(result: CellResult) -> None:
-        if result.ok and store is not None:
-            store.record(result.key, result.value)
-        outcomes[result.key] = result
-
-    if pending and config.jobs > 1:
-        tasks = [
-            (
-                keys[index],
-                config.case_workload(index),
-                machines,
-                config.mutants,
-                overrides,
-                config.scale,
-                config.shrink,
-                config.corpus_dir,
-                runner_knobs,
-            )
-            for index in pending
-        ]
-
-        def on_result(position: int, outcome: tuple) -> None:
-            key = keys[pending[position]]
-            tag, value = outcome
-            if tag == OUTCOME_OK:
-                settle(CellResult(**value))
-            elif tag == OUTCOME_CRASHED:
-                settle(CellResult(
-                    key=key, status="error", error=value,
-                    error_type="WorkerCrash", attempts=1,
-                ))
-            elif tag == OUTCOME_ERROR:
-                settle(CellResult(
-                    key=key, status="error", error=str(value),
-                    error_type=type(value).__name__, attempts=1,
-                ))
-            else:  # skipped (budget)
-                settle(CellResult(
-                    key=key, status="error", error=value,
-                    error_type="BudgetExpired", attempts=0,
-                ))
-
-        map_resilient(
-            _case_worker, tasks, config.jobs,
-            deadline=deadline, on_result=on_result,
-        )
-    elif pending:
-        for index in pending:
-            key = keys[index]
-            if deadline.expired():
-                settle(CellResult(
-                    key=key, status="error",
-                    error="wall-clock budget expired before dispatch",
-                    error_type="BudgetExpired", attempts=0,
-                ))
-                continue
-            result = _case_worker(
-                key, config.case_workload(index), machines, config.mutants,
-                overrides, config.scale, config.shrink, config.corpus_dir,
-                runner_knobs,
-            )
-            settle(CellResult(**result))
-    if store is not None:
-        store.flush()
-
+    keys = [cell.key for cell in cells]
     return _triage_report(config, keys, outcomes, time.perf_counter() - started)
 
 

@@ -37,13 +37,14 @@ construct machines directly, not through :func:`load_bundle`).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..cfg import ReconvergenceTable
 from ..core import GoldenTrace
@@ -382,6 +383,29 @@ def configure_default_cache(
         return _default
 
 
+@contextlib.contextmanager
+def default_cache_at(disk_dir: str | Path | None) -> Iterator[None]:
+    """Point the process-wide cache at ``disk_dir`` for a block, then
+    restore the previous one (``None`` leaves the default cache as is).
+
+    An in-process study with a ``cache_dir`` loads and writes artifacts
+    there, like the pool workers :func:`configure_default_cache` points
+    at it, without leaving the process reconfigured.
+    """
+    global _default
+    if disk_dir is None:
+        yield
+        return
+    with _default_lock:
+        previous = _default
+    configure_default_cache(disk_dir=disk_dir)
+    try:
+        yield
+    finally:
+        with _default_lock:
+            _default = previous
+
+
 def reset_default_cache() -> None:
     """Drop the process-wide cache (tests use this for isolation)."""
     global _default
@@ -395,6 +419,7 @@ __all__ = [
     "CacheStats",
     "WorkloadArtifacts",
     "configure_default_cache",
+    "default_cache_at",
     "get_default_cache",
     "program_fingerprint",
     "reset_default_cache",

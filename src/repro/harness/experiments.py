@@ -9,12 +9,17 @@ existing callers (benchmarks, examples, tests) are unaffected.
 
 The fault-isolated study path lives here too: :func:`run_study` runs a
 cross-product of registered experiments × workloads, one
-:class:`~repro.harness.spec.CellRow` per cell, with per-cell timeout,
-retry, checkpoint resume and optional process fan-out
-(:mod:`repro.harness.parallel`).
+:class:`~repro.harness.spec.CellRow` per cell, through the cell
+scheduler :func:`~repro.harness.parallel.schedule_cells` — per-cell
+timeout and retry, checkpoint resume, and in-process or process-pool
+execution chosen by ``jobs`` alone.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
+import tempfile
 
 from ..core import CoreConfig, CoreStats, Processor
 from ..errors import ConfigError
@@ -22,6 +27,8 @@ from ..ideal.models import IdealModel
 from ..machines import HEURISTIC_POLICIES, detailed_machines
 from ..workloads import WORKLOAD_NAMES
 from .batch import batch_enabled
+from .parallel import resolve_jobs, schedule_cells
+from .runner import Cell, CheckpointStore, RunnerConfig, config_hash
 from .spec import (
     CellRow,
     WorkloadBundle,
@@ -268,22 +275,20 @@ def select_study_cells(cells, only):
 #: experiment kwargs that choose an execution strategy without touching
 #: row content; excluded from the checkpoint config hash so toggling
 #: ``REPRO_BATCH``/``batch=`` or attaching a profile composes with
-#: checkpoint resume (and with ``REPRO_JOBS`` — the parallel path reuses
-#: the same enumeration) instead of silently re-running every cell
+#: checkpoint resume (and with ``REPRO_JOBS`` — every job count runs the
+#: same enumeration) instead of silently re-running every cell
 NON_SEMANTIC_KNOBS = ("batch", "profile")
 
 
 def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
     """Enumerate the study grid as Cells, in deterministic order.
 
-    Serial and parallel execution share this enumeration, so a
-    checkpoint written by one is resumable by the other; the config hash
+    Every job count runs this enumeration, so a checkpoint written
+    in-process is resumable on the pool and vice versa; the config hash
     covers only row-semantic knobs (see :data:`NON_SEMANTIC_KNOBS`), so
     batched, profiled and scalar runs of the same study share one
     checkpoint identity.
     """
-    from .runner import Cell, config_hash
-
     semantic = {
         k: v for k, v in experiment_kwargs.items() if k not in NON_SEMANTIC_KNOBS
     }
@@ -300,8 +305,8 @@ def study_cells(chosen, names, scale: float, experiment_kwargs: dict):
 def assemble_study(chosen, cells, outcomes) -> dict:
     """Fold per-cell outcomes into the study result payload.
 
-    The serial and parallel paths share this assembly, so both produce
-    byte-identical rows: successful cells carry a
+    Rows come out in grid order whatever order the cells finished in,
+    so every job count produces byte-identical rows: successful cells carry a
     :class:`~repro.harness.spec.CellRow` payload whose ``data`` becomes
     the row, failed cells degrade to their error annotation.
     """
@@ -320,12 +325,32 @@ def assemble_study(chosen, cells, outcomes) -> dict:
     return {"results": results, "failures": failures, "resumed": resumed}
 
 
+def _study_row(row_kwargs: dict, cell, prepared) -> dict:
+    """One study cell: its spec row, as a checkpointable payload."""
+    return run_spec_row(
+        cell.experiment,
+        cell.workload,
+        scale=cell.scale,
+        prepared=prepared,
+        **row_kwargs,
+    ).to_payload()
+
+
+def _prepare_rows(row_kwargs: dict, cells) -> dict:
+    """Pre-simulate the detailed cells of a group of study cells in one
+    fused driver loop (see :func:`~repro.harness.spec.prepare_study_batch`)."""
+    return prepare_study_batch(
+        [(cell.experiment, cell.workload) for cell in cells],
+        scale=cells[0].scale,
+        experiment_kwargs=row_kwargs,
+    )
+
+
 def run_study(
     experiments=None,
     scale: float = 0.12,
     names=WORKLOAD_NAMES,
     checkpoint_path=None,
-    runner: "CellRunner | None" = None,
     jobs: "int | str | None" = None,
     cache_dir=None,
     timeout_seconds: float | None = None,
@@ -335,93 +360,72 @@ def run_study(
     """Run a cross-product of experiments × workloads fault-isolated.
 
     Each (experiment, workload) pair runs as one
-    :func:`~repro.harness.spec.run_spec_row` cell through a
-    :class:`~repro.harness.runner.CellRunner`: a crash or hang in one
-    cell becomes an error-annotated row instead of killing the study,
-    and — when ``checkpoint_path`` is given — completed cells are
-    skipped on resume after an interruption.
+    :func:`~repro.harness.spec.run_spec_row` cell through
+    :func:`~repro.harness.parallel.schedule_cells`: a crash or hang in
+    one cell becomes an error-annotated row instead of killing the
+    study, and — when ``checkpoint_path`` is given — each finished cell
+    is recorded as it completes and skipped on resume after an
+    interruption.
 
     ``jobs`` (default: the ``REPRO_JOBS`` env var, else 1; ``"auto"`` =
-    CPU count) fans the grid across worker processes via
-    :func:`repro.harness.parallel.run_study_parallel`; results are
-    byte-identical to the serial run.  A caller-supplied ``runner``
-    forces the serial path (its policy cannot cross process boundaries).
-    ``only`` restricts the grid to ``EXPERIMENT:WORKLOAD`` selectors
-    (see :func:`select_study_cells`) for partial reruns.
+    CPU count) fans the grid across worker processes; results are
+    byte-identical at every job count.  ``cache_dir`` keeps the
+    content-addressed workload artifacts on disk across runs, whether
+    the study runs in-process or on the pool (which otherwise shares a
+    temporary directory).  ``only`` restricts the grid to
+    ``EXPERIMENT:WORKLOAD`` selectors (see :func:`select_study_cells`)
+    for partial reruns.
 
-    ``batch=`` (or ``REPRO_BATCH``) composes with ``jobs``: batching is
-    applied *within* each worker's shard of the grid — serially that is
-    one fused :func:`~repro.harness.spec.prepare_study_batch` loop over
-    every pending detailed cell of the study; under the pool each worker
-    fuses its own shard.  Rows stay byte-identical; ``batch`` and
-    ``profile`` are excluded from the checkpoint identity
-    (:data:`NON_SEMANTIC_KNOBS`), so either toggle resumes the same
-    checkpoint.
+    ``batch=`` (or ``REPRO_BATCH``) composes with ``jobs``: in-process
+    every pending detailed cell of the study is pre-simulated through
+    one fused :func:`~repro.harness.spec.prepare_study_batch` loop;
+    under the pool each worker fuses its own round-robin shard.  The
+    per-cell ``timeout_seconds`` then bounds only each cell's residual
+    work — inside the fused loop a runaway cell is bounded by its own
+    ``watchdog_cycles``/``max_cycles`` guards.  Rows stay
+    byte-identical; ``batch`` and ``profile`` are excluded from the
+    checkpoint identity (:data:`NON_SEMANTIC_KNOBS`), so either toggle
+    resumes the same checkpoint.
 
     Returns ``{"results": {experiment: {workload: row-or-error}},
-    "failures": [CellResult...], "resumed": int}``.
+    "failures": [CellResult...], "resumed": int, "jobs": int}``.
     """
-    from .runner import CellRunner, RunnerConfig
-
     chosen = validate_experiments(experiments)
-    if runner is None:
-        from .parallel import resolve_jobs, run_study_parallel
-
-        if resolve_jobs(jobs) > 1:
-            return run_study_parallel(
-                experiments=chosen,
-                scale=scale,
-                names=names,
-                checkpoint_path=checkpoint_path,
-                jobs=jobs,
-                cache_dir=cache_dir,
-                timeout_seconds=timeout_seconds,
-                only=only,
-                **experiment_kwargs,
-            )
-        runner = CellRunner(
-            RunnerConfig(
-                checkpoint_path=checkpoint_path, timeout_seconds=timeout_seconds
-            )
-        )
-
+    n_jobs = resolve_jobs(jobs)
+    store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
     cells = select_study_cells(
         study_cells(chosen, names, scale, experiment_kwargs), only
     )
     if only is not None:
         chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
 
-    # Study-level batching: pre-simulate every pending detailed cell of
-    # the whole study through one fused, fault-isolated driver loop
-    # (prepare_study_batch), then let each run_spec_row consume its
-    # prepared outcome.  Checkpointed cells never re-enter the batch.
-    # Note the per-cell ``timeout_seconds`` bounds only each cell's
-    # residual (non-batched) work — inside the fused loop a runaway cell
-    # is bounded by its own ``watchdog_cycles``/``max_cycles`` guards.
-    prepared = None
+    row_kwargs = experiment_kwargs
+    if n_jobs > 1:
+        # A SpecProfile cannot aggregate across process boundaries (each
+        # worker would record into its own pickled copy, silently thrown
+        # away on return), so the pool runs without it: under the pool
+        # the parent's profile intentionally stays empty.
+        row_kwargs = {k: v for k, v in experiment_kwargs.items() if k != "profile"}
     try:
-        study_batched = batch_enabled(experiment_kwargs.get("batch"))
+        batched = batch_enabled(experiment_kwargs.get("batch"))
     except ValueError:
-        study_batched = False  # per-cell runs report the bad knob
-    if study_batched:
-        checkpoint = getattr(runner, "checkpoint", None)
-        pending_pairs = [
-            (cell.experiment, cell.workload)
-            for cell in cells
-            if checkpoint is None or not checkpoint.completed(cell.key)
-        ]
-        if pending_pairs:
-            prepared = prepare_study_batch(
-                pending_pairs, scale=scale, experiment_kwargs=experiment_kwargs
-            )
-
-    outcomes = {}
-    for cell in cells:
-        result = runner.run_cell(
-            cell,
-            lambda exp=cell.experiment, name=cell.workload: run_spec_row(
-                exp, name, scale=scale, prepared=prepared, **experiment_kwargs
-            ).to_payload(),
+        batched = False  # per-cell runs report the bad knob
+    # The pool always shares one disk cache that the parent prewarms.
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="repro-study-cache-")
+        if n_jobs > 1 and cache_dir is None
+        else contextlib.nullcontext(cache_dir)
+    )
+    with scratch as study_cache_dir:
+        outcomes = schedule_cells(
+            cells,
+            functools.partial(_study_row, row_kwargs),
+            n_jobs,
+            store=store,
+            policy=RunnerConfig(timeout_seconds=timeout_seconds),
+            prepare=functools.partial(_prepare_rows, row_kwargs) if batched else None,
+            cache_dir=study_cache_dir,
         )
-        outcomes[cell.key] = result
-    return assemble_study(chosen, cells, outcomes)
+    out = assemble_study(chosen, cells, outcomes)
+    out["jobs"] = n_jobs
+    return out

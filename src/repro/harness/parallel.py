@@ -1,46 +1,55 @@
-"""Parallel study scheduler: fan the experiment grid across processes.
+"""Resumable cell scheduler: run a keyed grid in-process or on a pool.
 
-The study grid (experiments × workloads) is embarrassingly parallel —
-cells share nothing but the read-only workload artifacts — yet the seed
-harness drove it serially through one process.  This module dispatches
-pending cells to a :class:`concurrent.futures.ProcessPoolExecutor`:
+The paper's study is a grid of cells (experiments × workloads) and a
+fuzz campaign is a list of cases; both are keyed
+:class:`~repro.harness.runner.Cell` s that share nothing but read-only
+workload artifacts.  :func:`schedule_cells` is the one driver both
+:func:`repro.harness.experiments.run_study` and
+:func:`repro.fuzz.campaign.run_campaign` call:
 
-* **job count** — the ``jobs`` argument, else the ``REPRO_JOBS``
-  environment variable, else 1; ``"auto"`` means the CPU count.
-* **checkpoint integration** — cells already in the
-  :class:`~repro.harness.runner.CheckpointStore` are satisfied *before*
-  dispatch, so a resumed study only pays for unfinished cells.  The
-  parent process is the only checkpoint writer (workers return results;
-  the parent records them), so no cross-process file locking is needed.
-* **process-safe timeouts** — each worker enforces the per-cell budget
-  inside its own process via
-  :func:`~repro.harness.runner.call_with_timeout` (SIGALRM on the
-  worker's own main thread, a thread-join deadline elsewhere).  No
-  timer ever crosses a process boundary, unlike the old
-  parent-side SIGALRM which was both main-thread-only and shared.
-* **once-per-study tracing** — before dispatch the parent derives every
-  workload's golden trace and reconvergence table into a disk-backed
-  :class:`~repro.harness.cache.ArtifactCache` shared with the workers
-  (a temporary directory unless ``cache_dir`` is given), so the
-  expensive artifacts are derived exactly once per (program,
-  history_bits) per study instead of once per cell per worker.
+* **checkpoint resume** — cells already in the
+  :class:`~repro.harness.runner.CheckpointStore` are served from it
+  before anything runs, so a resumed grid only pays for unfinished
+  cells and a fully resumed one builds no pool.  This process is the
+  only checkpoint writer (workers return results; the parent records
+  each success as it lands), so no cross-process file locking is
+  needed.
+* **job count** — ``jobs == 1`` runs the cells in-process, recording
+  each one as soon as it finishes; more fans them across a
+  :class:`concurrent.futures.ProcessPoolExecutor` through
+  :func:`map_resilient`, which survives worker death and honours a
+  wall-clock :class:`~repro.harness.runner.Deadline`.
+  :func:`resolve_jobs` turns a ``jobs`` argument or ``REPRO_JOBS`` into
+  a count.
+* **process-safe timeouts** — every cell runs through a
+  :class:`~repro.harness.runner.CellRunner` in the process that
+  executes it, which enforces the per-cell budget via
+  :func:`~repro.harness.runner.call_with_timeout` (SIGALRM on that
+  process's main thread, a thread-join deadline elsewhere), so no timer
+  ever crosses a process boundary.
+* **once-per-study tracing** — given a ``cache_dir``, the parent
+  derives every pending workload's golden trace and reconvergence table
+  into that disk-backed :class:`~repro.harness.cache.ArtifactCache`
+  before pool dispatch and the workers load them from it, so the
+  expensive artifacts are derived once per (program, history_bits) per
+  study instead of once per cell per worker.
 
-Results are assembled in the same deterministic order as the serial
-path, so a parallel study returns byte-identical rows.
+Results are keyed by cell and callers assemble them in their own
+deterministic order, so rows are byte-identical at every job count.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
-import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import ConfigError
-from ..workloads import WORKLOAD_NAMES
-from .batch import batch_enabled
+from .cache import ArtifactCache, configure_default_cache, default_cache_at
 from .runner import Cell, CellResult, CellRunner, CheckpointStore, Deadline, RunnerConfig
 
 _log = logging.getLogger(__name__)
@@ -87,107 +96,6 @@ def resolve_jobs(jobs: int | str | None = None, env=os.environ) -> int:
     return value
 
 
-def _init_worker(cache_dir: str | None) -> None:
-    """Point the worker's default artifact cache at the study's shared
-    disk layer, so traces the parent pre-derived are loaded, not re-run."""
-    if cache_dir:
-        from .cache import configure_default_cache
-
-        configure_default_cache(disk_dir=cache_dir)
-
-
-def _run_cell(
-    experiment: str,
-    workload: str,
-    knob_hash: str,
-    scale: float,
-    experiment_kwargs: dict,
-    runner_knobs: dict,
-) -> dict:
-    """Execute one cell inside a worker process.
-
-    Returns a plain dict (picklable) mirroring
-    :class:`~repro.harness.runner.CellResult`; never raises for cell
-    failures — the worker-side :class:`CellRunner` degrades them.  The
-    cell body is the same :func:`~repro.harness.spec.run_spec_row` the
-    serial path runs, so rows are byte-identical.
-    """
-    from .spec import run_spec_row
-
-    cell = Cell(
-        experiment=experiment, workload=workload, config_hash=knob_hash, scale=scale
-    )
-    runner = CellRunner(RunnerConfig(checkpoint_path=None, **runner_knobs))
-    result = runner.run_cell(
-        cell,
-        lambda: run_spec_row(
-            experiment, workload, scale=scale, **experiment_kwargs
-        ).to_payload(),
-    )
-    return {
-        "key": result.key,
-        "status": result.status,
-        "value": result.value,
-        "error": result.error,
-        "error_type": result.error_type,
-        "attempts": result.attempts,
-    }
-
-
-def _run_shard(
-    cell_specs: list,
-    scale: float,
-    experiment_kwargs: dict,
-    runner_knobs: dict,
-) -> list[dict]:
-    """Execute one study shard inside a worker process, batch-fused.
-
-    ``cell_specs`` is ``[(experiment, workload, knob_hash), ...]``.  The
-    shard's detailed cells are first pre-simulated through one fused,
-    fault-isolated driver loop (:func:`~repro.harness.spec
-    .prepare_study_batch` — one GC pause for the whole shard, workload
-    bundles derived once each); every cell then runs through the same
-    per-cell :class:`CellRunner` as :func:`_run_cell`, consuming its
-    prepared outcome.  The per-cell ``timeout_seconds`` therefore bounds
-    only each cell's residual work — inside the fused loop a runaway
-    cell is bounded by its own ``watchdog_cycles``/``max_cycles``
-    guards, and its failure degrades that cell alone.
-    """
-    from .spec import prepare_study_batch, run_spec_row
-
-    prepared = prepare_study_batch(
-        [(experiment, workload) for experiment, workload, _ in cell_specs],
-        scale=scale,
-        experiment_kwargs=experiment_kwargs,
-    )
-    runner = CellRunner(RunnerConfig(checkpoint_path=None, **runner_knobs))
-    results = []
-    for experiment, workload, knob_hash in cell_specs:
-        cell = Cell(
-            experiment=experiment,
-            workload=workload,
-            config_hash=knob_hash,
-            scale=scale,
-        )
-        result = runner.run_cell(
-            cell,
-            lambda exp=experiment, name=workload: run_spec_row(
-                exp, name, scale=scale, prepared=prepared, **experiment_kwargs
-            ).to_payload(),
-        )
-        results.append(
-            {
-                "key": result.key,
-                "status": result.status,
-                "value": result.value,
-                "error": result.error,
-                "error_type": result.error_type,
-                "attempts": result.attempts,
-            }
-        )
-    return results
-
-
 # ----------------------------------------------------------------------
 # Crash-resilient windowed dispatch
 
@@ -197,6 +105,8 @@ OUTCOME_OK = "ok"
 OUTCOME_ERROR = "error"  # the task raised (picklable) inside the worker
 OUTCOME_CRASHED = "crashed"  # its worker process died while it was in flight
 OUTCOME_SKIPPED = "skipped"  # never dispatched: the deadline expired first
+
+_BUDGET_EXPIRED = "wall-clock budget expired before dispatch"
 
 
 def map_resilient(
@@ -245,10 +155,7 @@ def map_resilient(
     while pending:
         if deadline is not None and deadline.expired():
             while pending:
-                settle(
-                    pending.pop(),
-                    (OUTCOME_SKIPPED, "wall-clock budget expired before dispatch"),
-                )
+                settle(pending.pop(), (OUTCOME_SKIPPED, _BUDGET_EXPIRED))
             break
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, len(pending)),
@@ -323,203 +230,160 @@ def _prewarm_cache(cache, names, scale: float) -> None:
             pass
 
 
-def run_study_parallel(
-    experiments=None,
-    scale: float = 0.12,
-    names=WORKLOAD_NAMES,
-    checkpoint_path=None,
-    jobs: int | str | None = None,
-    cache_dir=None,
-    timeout_seconds: float | None = None,
-    max_attempts: int = 3,
-    only=None,
-    **experiment_kwargs,
-) -> dict:
-    """Parallel twin of :func:`repro.harness.experiments.run_study`.
+# ----------------------------------------------------------------------
+# The scheduler
 
-    Same contract and same (byte-identical) rows; adds ``"jobs"`` to the
-    returned dict.  When the job count resolves to 1 (explicitly, or
-    ``"auto"`` on a single-CPU host) the grid runs through the in-process
-    serial runner instead of a one-worker pool.  ``only`` restricts the
-    grid to ``EXPERIMENT:WORKLOAD`` selectors for partial reruns.
+
+def _init_worker(cache_dir: str | Path | None) -> None:
+    """Point the worker's default artifact cache at the shared disk
+    layer, so traces the parent pre-derived are loaded, not re-run."""
+    if cache_dir:
+        configure_default_cache(disk_dir=cache_dir)
+
+
+def _iter_cells(
+    cells: list[Cell],
+    body: Callable[[Cell, Any], Any],
+    policy: RunnerConfig,
+    prepare: Callable[[list[Cell]], Any] | None = None,
+    deadline: Deadline | None = None,
+) -> Iterator[CellResult]:
+    """Run ``cells`` in this process, yielding each result as it finishes.
+
+    ``prepare(cells)`` runs once, before the first cell; what it returns
+    is passed to every ``body(cell, prepared)``.  A cell reached after
+    ``deadline`` has expired is skipped, not run.
     """
-    from .cache import ArtifactCache
-    from .experiments import (
-        assemble_study,
-        run_study,
-        select_study_cells,
-        study_cells,
-        validate_experiments,
-    )
+    runner = CellRunner(policy)
+    prepared = prepare(cells) if prepare is not None else None
+    for cell in cells:
+        if deadline is not None and deadline.expired():
+            yield from _task_results([cell], OUTCOME_SKIPPED, _BUDGET_EXPIRED)
+        else:
+            yield runner.run_cell(cell, functools.partial(body, cell, prepared))
 
-    chosen = validate_experiments(experiments)
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs == 1:
-        _log.info(
-            "study resolved to 1 job: running serially in-process "
-            "(no pool dispatch)"
-        )
-        serial_runner = CellRunner(
-            RunnerConfig(
-                checkpoint_path=checkpoint_path,
-                timeout_seconds=timeout_seconds,
-                max_attempts=max_attempts,
-            )
-        )
-        out = run_study(
-            experiments=chosen,
-            scale=scale,
-            names=names,
-            runner=serial_runner,
-            only=only,
-            **experiment_kwargs,
-        )
-        out["jobs"] = 1
-        return out
-    store = CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
 
-    cells = select_study_cells(
-        study_cells(chosen, names, scale, experiment_kwargs), only
-    )
-    if only is not None:
-        chosen = [e for e in chosen if any(c.experiment == e for c in cells)]
+def _run_cell(
+    cells: list[Cell],
+    body: Callable[[Cell, Any], Any],
+    policy: RunnerConfig,
+    prepare: Callable[[list[Cell]], Any] | None = None,
+) -> list[CellResult]:
+    """Pool worker entry: run one task's cells and return their results.
+
+    A task is one cell, or one round-robin shard of the grid when the
+    caller batches (``prepare``).  Cell failures come back as error
+    results (the worker-side :class:`CellRunner` degrades them), never
+    as exceptions.
+    """
+    return list(_iter_cells(cells, body, policy, prepare))
+
+
+def _task_results(cells: list[Cell], tag: str, payload) -> list[CellResult]:
+    """The results of one task's cells, from its :func:`map_resilient`
+    outcome; a task that returned none fails every cell it held."""
+    if tag == OUTCOME_OK:
+        return payload
+    if tag == OUTCOME_CRASHED:
+        error, error_type, attempts = payload, "WorkerCrash", 1
+    elif tag == OUTCOME_SKIPPED:
+        error, error_type, attempts = payload, "BudgetExpired", 0
+    else:  # OUTCOME_ERROR: the task raised, or its result did not unpickle
+        error, error_type, attempts = str(payload), type(payload).__name__, 1
+    return [
+        CellResult(
+            key=cell.key,
+            status="error",
+            error=error,
+            error_type=error_type,
+            attempts=attempts,
+        )
+        for cell in cells
+    ]
+
+
+def schedule_cells(
+    cells: Sequence[Cell],
+    body: Callable[[Cell, Any], Any],
+    jobs: int = 1,
+    *,
+    policy: RunnerConfig,
+    store: CheckpointStore | None = None,
+    prepare: Callable[[list[Cell]], Any] | None = None,
+    deadline: Deadline | None = None,
+    cache_dir: str | Path | None = None,
+) -> dict[str, CellResult]:
+    """Run keyed cells resumably and return ``{cell.key: CellResult}``.
+
+    Cells already in ``store`` are served from it (``resumed=True``).
+    The rest run as ``body(cell, prepared)`` through a
+    :class:`CellRunner` with ``policy``: in this process when ``jobs``
+    is 1, else across ``jobs`` pool workers, one task per cell.
+    ``prepared`` is what ``prepare`` returned for the cell's group, or
+    None: in-process the group is every pending cell; on the pool,
+    ``prepare`` turns dispatch into one task per round-robin shard,
+    prepared inside its worker.  ``body`` and ``prepare`` must pickle
+    for the pool (module-level functions, or partials of them).
+
+    This process records each success in ``store`` as it lands and
+    flushes the store at the end.  A cell whose task returned no result
+    fails with ``WorkerCrash`` (its worker died), ``BudgetExpired``
+    (``deadline`` expired before dispatch) or the type name of the
+    exception the task raised.
+
+    ``cache_dir`` holds the cells' workload artifacts: in-process the
+    default cache points there for the run and is restored afterwards;
+    before pool dispatch this process derives every pending workload's
+    artifacts into it, and the workers load them from there.
+    """
     outcomes: dict[str, CellResult] = {}
     pending: list[Cell] = []
     for cell in cells:
         if store is not None and store.completed(cell.key):
             outcomes[cell.key] = CellResult(
-                key=cell.key,
-                status="ok",
-                value=store.value(cell.key),
-                attempts=0,
-                resumed=True,
+                key=cell.key, status="ok", value=store.value(cell.key), resumed=True
             )
         else:
             pending.append(cell)
 
-    if pending:
-        runner_knobs = {
-            "timeout_seconds": timeout_seconds,
-            "max_attempts": max_attempts,
-        }
-        # A SpecProfile cannot aggregate across process boundaries (each
-        # worker would record into its own pickled copy, silently thrown
-        # away on return), so it is stripped from worker dispatch: under
-        # the pool the parent's profile intentionally stays empty.
-        worker_kwargs = {
-            k: v for k, v in experiment_kwargs.items() if k != "profile"
-        }
-        try:
-            study_batched = batch_enabled(experiment_kwargs.get("batch"))
-        except ValueError:
-            study_batched = False  # per-cell runs report the bad knob
-        tmpdir = None
-        shared_dir = cache_dir
-        if shared_dir is None:
-            tmpdir = tempfile.TemporaryDirectory(prefix="repro-study-cache-")
-            shared_dir = tmpdir.name
-        try:
-            cache = ArtifactCache(disk_dir=shared_dir)
-            _prewarm_cache(cache, dict.fromkeys(c.workload for c in pending), scale)
+    def settle(results: Iterable[CellResult]) -> None:
+        for result in results:
+            if result.ok and store is not None:
+                store.record(result.key, result.value)
+            outcomes[result.key] = result
 
-            def degrade(cell: Cell, tag: str, payload) -> CellResult:
-                if tag == OUTCOME_CRASHED:
-                    return CellResult(
-                        key=cell.key,
-                        status="error",
-                        value=None,
-                        error=payload,
-                        error_type="WorkerCrash",
-                        attempts=1,
-                    )
-                # "error": the worker raised / result was unpicklable
-                return CellResult(
-                    key=cell.key,
-                    status="error",
-                    value=None,
-                    error=str(payload),
-                    error_type=type(payload).__name__,
-                    attempts=1,
+    try:
+        if pending and jobs > 1:
+            groups = (
+                [pending[i::jobs] for i in range(jobs)]
+                if prepare is not None
+                else [[cell] for cell in pending]
+            )
+            tasks = [(group, body, policy, prepare) for group in groups if group]
+            if cache_dir is not None:
+                _prewarm_cache(
+                    ArtifactCache(disk_dir=cache_dir),
+                    dict.fromkeys(cell.workload for cell in pending),
+                    pending[0].scale,
                 )
-
-            def settle(result: CellResult) -> None:
-                if result.ok and store is not None:
-                    store.record(result.key, result.value)
-                outcomes[result.key] = result
-
-            if study_batched:
-                # Study-level batching: one task per worker shard, each
-                # fusing all its detailed cells into a single driver
-                # loop (see _run_shard).  Round-robin sharding keeps
-                # per-shard load balanced across experiments.
-                shards = [
-                    shard
-                    for shard in (pending[i::n_jobs] for i in range(n_jobs))
-                    if shard
-                ]
-                tasks = [
-                    (
-                        [(c.experiment, c.workload, c.config_hash) for c in shard],
-                        scale,
-                        worker_kwargs,
-                        runner_knobs,
-                    )
-                    for shard in shards
-                ]
-
-                def on_result(index: int, outcome: tuple) -> None:
-                    tag, payload = outcome
-                    if tag == OUTCOME_OK:
-                        for item in payload:
-                            settle(CellResult(**item))
-                    else:
-                        # The whole shard shared the dead/broken worker.
-                        for cell in shards[index]:
-                            settle(degrade(cell, tag, payload))
-
-                map_resilient(
-                    _run_shard,
-                    tasks,
-                    n_jobs,
-                    initializer=_init_worker,
-                    initargs=(str(shared_dir),),
-                    on_result=on_result,
-                )
-            else:
-                tasks = [
-                    (
-                        cell.experiment,
-                        cell.workload,
-                        cell.config_hash,
-                        cell.scale,
-                        worker_kwargs,
-                        runner_knobs,
-                    )
-                    for cell in pending
-                ]
-
-                def on_result(index: int, outcome: tuple) -> None:
-                    tag, payload = outcome
-                    if tag == OUTCOME_OK:
-                        settle(CellResult(**payload))
-                    else:
-                        settle(degrade(pending[index], tag, payload))
-
-                map_resilient(
-                    _run_cell,
-                    tasks,
-                    n_jobs,
-                    initializer=_init_worker,
-                    initargs=(str(shared_dir),),
-                    on_result=on_result,
-                )
-        finally:
-            if tmpdir is not None:
-                tmpdir.cleanup()
-
-    out = assemble_study(chosen, cells, outcomes)
-    out["jobs"] = n_jobs
-    return out
+            map_resilient(
+                _run_cell,
+                tasks,
+                jobs,
+                initializer=_init_worker,
+                initargs=(cache_dir,),
+                deadline=deadline,
+                on_result=lambda index, outcome: settle(
+                    _task_results(tasks[index][0], *outcome)
+                ),
+            )
+        elif pending:
+            with default_cache_at(cache_dir):
+                settle(_iter_cells(pending, body, policy, prepare, deadline))
+    finally:
+        if store is not None:
+            store.flush()
+    return outcomes
 
 
-__all__ = ["map_resilient", "resolve_jobs", "run_study_parallel"]
+__all__ = ["map_resilient", "resolve_jobs", "schedule_cells"]

@@ -15,7 +15,9 @@ loses every completed result.  This module executes each cell through a
   error-annotated :class:`CellResult` instead of aborting the study;
 * **resumable runs** — completed cells are recorded in a JSON
   :class:`CheckpointStore` keyed by (experiment, workload, config hash,
-  scale); re-running an interrupted study skips them.
+  scale); the scheduler
+  (:func:`~repro.harness.parallel.schedule_cells`) serves them from it,
+  so re-running an interrupted study skips them.
 
 Checkpointed values round-trip through JSON, so cell functions must
 return JSON-serialisable data (the spec engine's
@@ -142,7 +144,6 @@ class RunnerConfig:
     backoff_seconds: float = 0.5  # first retry delay; doubles per attempt
     backoff_factor: float = 2.0
     timeout_seconds: float | None = None  # per-cell wall clock; None = off
-    checkpoint_path: str | Path | None = None
     #: exception types worth retrying; anything else degrades immediately
     retryable: tuple[type, ...] = (TransientError, CellTimeout)
 
@@ -360,29 +361,19 @@ def call_with_timeout(fn: Callable[[], Any], timeout_seconds: float | None) -> A
 
 
 class CellRunner:
-    """Executes cells with timeout, retry/backoff, degradation and resume."""
+    """Executes cells with timeout, retry/backoff and degradation."""
 
     def __init__(self, config: RunnerConfig | None = None, sleep=time.sleep):
         self.config = (config or RunnerConfig()).validate()
         self._sleep = sleep
-        self.checkpoint: CheckpointStore | None = (
-            CheckpointStore(self.config.checkpoint_path)
-            if self.config.checkpoint_path is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
 
-    def run_cell(self, cell: Cell | str, fn: Callable[[], Any]) -> CellResult:
+    def run_cell(self, cell: Cell, fn: Callable[[], Any]) -> CellResult:
         """Run one cell to a :class:`CellResult`; never raises for cell
-        failures (only for checkpoint-store corruption)."""
-        key = cell.key if isinstance(cell, Cell) else cell
-        if self.checkpoint is not None and self.checkpoint.completed(key):
-            return CellResult(
-                key=key, status="ok", value=self.checkpoint.value(key),
-                attempts=0, resumed=True,
-            )
-
+        failures (an exception outside ``Exception``, such as
+        ``KeyboardInterrupt``, still propagates)."""
+        key = cell.key
         cfg = self.config
         delay = cfg.backoff_seconds
         failure: BaseException | None = None
@@ -398,8 +389,6 @@ class CellRunner:
             except Exception as exc:  # deterministic failure: no retry
                 failure = exc
                 break
-            if self.checkpoint is not None:
-                self.checkpoint.record(key, value)
             return CellResult(key=key, status="ok", value=value, attempts=attempt)
         return CellResult(
             key=key,

@@ -22,11 +22,11 @@ content-addressed cache (:func:`load_bundle`), per-workload rows are the
 uniform :class:`CellRow` schema consumed by the study runners,
 checkpoints and table formatters, and an optional :class:`SpecProfile`
 collects per-cell wall clock plus the detailed core's stage-cycle
-counters.  The fault-isolated/parallel study paths
-(:func:`repro.harness.experiments.run_study`,
-:func:`repro.harness.parallel.run_study_parallel`) execute
-``run_spec_row`` per (experiment, workload) cell, so checkpoint resume
-and process fan-out compose with every registered spec automatically.
+counters.  The fault-isolated study
+(:func:`repro.harness.experiments.run_study`) executes ``run_spec_row``
+per (experiment, workload) cell, in-process or on a process pool, so
+checkpoint resume and process fan-out compose with every registered
+spec automatically.
 
 Specs serialize to plain JSON (:func:`spec_to_dict` /
 :func:`spec_from_dict`): enums are tagged by class and name, tuples are

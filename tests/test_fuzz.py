@@ -215,6 +215,14 @@ class TestCampaign:
         assert second["counts"]["executed"] == 0
         assert second["counts"]["clean"] == 4
 
+    def test_job_counts_agree_on_statuses(self, tmp_path):
+        in_process = run_campaign(self.config(tmp_path))
+        pooled = run_campaign(
+            self.config(tmp_path, jobs=2, checkpoint_path=str(tmp_path / "pool.json"))
+        )
+        assert pooled["counts"]["executed"] == 4
+        assert pooled["statuses"] == in_process["statuses"]
+
     def test_budget_skips_undispatched_cases(self, tmp_path):
         cfg = self.config(tmp_path, budget_seconds=0.000001)
         report = run_campaign(cfg)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness import run_study
-from repro.harness.parallel import map_resilient, resolve_jobs, run_study_parallel
+from repro.harness.parallel import map_resilient, resolve_jobs
 
 # Small but non-trivial grid: two experiments x two workloads.
 EXPS = ["table1"]
@@ -58,10 +58,18 @@ class TestParallelEquivalence:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError, match="figure99"):
-            run_study_parallel(experiments=["figure99"], scale=SCALE, names=NAMES)
+            run_study(experiments=["figure99"], scale=SCALE, names=NAMES, jobs=2)
+
+    def test_job_counts_agree_on_results_and_failures(self):
+        kwargs = dict(experiments=EXPS, scale=SCALE, names=("go", "not-a-benchmark"))
+        in_process = run_study(jobs=1, **kwargs)
+        pooled = run_study(jobs=2, **kwargs)
+        assert len(in_process["failures"]) == 1
+        assert pooled["results"] == in_process["results"]
+        assert pooled["failures"] == in_process["failures"]
 
     def test_bad_workload_degrades_to_error_row(self):
-        out = run_study_parallel(
+        out = run_study(
             experiments=EXPS, scale=SCALE, names=("go", "not-a-benchmark"), jobs=2
         )
         assert "error" not in out["results"]["table1"]["go"]
@@ -78,7 +86,7 @@ class TestShardedBatching:
         serial = run_study(
             experiments=["figure5"], scale=SCALE, names=NAMES
         )
-        sharded = run_study_parallel(
+        sharded = run_study(
             experiments=["figure5"], scale=SCALE, names=NAMES, jobs=2,
             batch=True,
         )
@@ -89,7 +97,7 @@ class TestShardedBatching:
         )
 
     def test_shard_cells_degrade_individually(self):
-        out = run_study_parallel(
+        out = run_study(
             experiments=["figure5"], scale=SCALE,
             names=("go", "not-a-benchmark"), jobs=2, batch=True,
         )
@@ -104,7 +112,7 @@ class TestShardedBatching:
             experiments=["figure5"], scale=SCALE, names=NAMES,
             checkpoint_path=path,
         )
-        sharded = run_study_parallel(
+        sharded = run_study(
             experiments=["figure5"], scale=SCALE, names=NAMES, jobs=2,
             batch=True, checkpoint_path=path,
         )
@@ -118,7 +126,7 @@ class TestParallelResume:
     def test_killed_study_resumes_without_resimulating(self, tmp_path, monkeypatch):
         path = tmp_path / "study.json"
         # "Kill" a study half-way: only one workload's cells completed.
-        first = run_study_parallel(
+        first = run_study(
             experiments=EXPS, scale=SCALE, names=("go",), jobs=2,
             checkpoint_path=path,
         )
@@ -126,7 +134,7 @@ class TestParallelResume:
 
         # Resume over the full grid: the finished cell must be served
         # from the checkpoint, the missing one dispatched.
-        second = run_study_parallel(
+        second = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -140,7 +148,7 @@ class TestParallelResume:
             raise AssertionError("a completed study must not dispatch workers")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
-        third = run_study_parallel(
+        third = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -152,7 +160,7 @@ class TestParallelResume:
         serial = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, checkpoint_path=path
         )
-        parallel = run_study_parallel(
+        parallel = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -190,15 +198,15 @@ def _sigkill_on_three(x):
 _REAL_RUN_CELL = None
 
 
-def _kill_run_cell(experiment, workload, *args):
+def _kill_run_cell(cells, *args):
     """Stand-in for ``parallel._run_cell`` that dies on one workload.
 
     Module-level so the pool can pickle it by reference; workers forked
     after the monkeypatch resolve it through this (inherited) module.
     """
-    if workload == "compress":
+    if any(cell.workload == "compress" for cell in cells):
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_RUN_CELL(experiment, workload, *args)
+    return _REAL_RUN_CELL(cells, *args)
 
 
 fork_only = pytest.mark.skipif(
@@ -258,7 +266,7 @@ class TestWorkerCrashRecovery:
                 sys.modules[__name__], "_REAL_RUN_CELL", parallel_mod._run_cell
             )
             patch.setattr(parallel_mod, "_run_cell", _kill_run_cell)
-            first = run_study_parallel(
+            first = run_study(
                 experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
                 checkpoint_path=path,
             )
@@ -272,7 +280,7 @@ class TestWorkerCrashRecovery:
 
         # Resuming without the killer completes only the crashed cells;
         # checkpointed survivors are not re-executed.
-        second = run_study_parallel(
+        second = run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2,
             checkpoint_path=path,
         )
@@ -285,7 +293,7 @@ class TestWorkerCrashRecovery:
 class TestSharedCacheDir:
     def test_study_populates_and_reuses_cache_dir(self, tmp_path):
         cache_dir = tmp_path / "artifacts"
-        run_study_parallel(
+        run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2, cache_dir=cache_dir
         )
         entries = list(cache_dir.glob("*.pkl"))
@@ -294,7 +302,25 @@ class TestSharedCacheDir:
         mtimes = {p: p.stat().st_mtime_ns for p in entries}
 
         # A second study over the same grid reuses the entries untouched.
-        run_study_parallel(
+        run_study(
             experiments=EXPS, scale=SCALE, names=NAMES, jobs=2, cache_dir=cache_dir
         )
+        assert {p: p.stat().st_mtime_ns for p in entries} == mtimes
+
+    def test_in_process_study_populates_and_reuses_cache_dir(self, tmp_path):
+        from repro.harness.cache import get_default_cache
+
+        cache_dir = tmp_path / "artifacts"
+        default = get_default_cache()
+        # table1 needs only programs; table2 loads each workload's bundle
+        kwargs = dict(experiments=["table2"], scale=SCALE, names=NAMES, jobs=1)
+        run_study(cache_dir=cache_dir, **kwargs)
+        entries = list(cache_dir.glob("*.pkl"))
+        # one artifact bundle per workload, traced once in this process
+        assert len(entries) == len(NAMES)
+        assert get_default_cache() is default  # restored after the study
+        mtimes = {p: p.stat().st_mtime_ns for p in entries}
+
+        # A second study over the same grid reuses the entries untouched.
+        run_study(cache_dir=cache_dir, **kwargs)
         assert {p: p.stat().st_mtime_ns for p in entries} == mtimes

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import CellTimeout, CheckpointError, TransientError
+from repro.harness.parallel import schedule_cells
 from repro.harness.runner import (
     Cell,
     CellRunner,
@@ -15,12 +16,22 @@ from repro.harness.runner import (
 )
 
 
-def make_runner(tmp_path=None, **kwargs):
+def make_runner(**kwargs):
     sleeps = []
-    if tmp_path is not None:
-        kwargs.setdefault("checkpoint_path", tmp_path / "ckpt.json")
     runner = CellRunner(RunnerConfig(**kwargs), sleep=sleeps.append)
     return runner, sleeps
+
+
+def schedule(tmp_path, fns, **kwargs):
+    """Run ``{cell: fn}`` in-process through the cell scheduler against
+    ``tmp_path``'s checkpoint; returns the results in ``fns`` order."""
+    results = schedule_cells(
+        list(fns),
+        lambda cell, prepared: fns[cell](),
+        store=CheckpointStore(tmp_path / "ckpt.json"),
+        policy=RunnerConfig(**kwargs),
+    )
+    return [results[cell.key] for cell in fns]
 
 
 CELL = Cell(experiment="table1", workload="go", config_hash="abc123", scale=0.1)
@@ -228,40 +239,42 @@ class TestDeadline:
 class TestCheckpointResume:
     def test_resume_skips_completed_cells(self, tmp_path):
         # First run: two cells complete, then the study "dies".
-        runner, _ = make_runner(tmp_path)
         done = Cell("table1", "go", "abc123", 0.1)
         also_done = Cell("table1", "gcc", "abc123", 0.1)
         pending = Cell("table1", "comp", "abc123", 0.1)
-        assert runner.run_cell(done, lambda: {"ipc": 1.0}).ok
-        assert runner.run_cell(also_done, lambda: {"ipc": 2.0}).ok
+        first = schedule(
+            tmp_path, {done: lambda: {"ipc": 1.0}, also_done: lambda: {"ipc": 2.0}}
+        )
+        assert all(result.ok for result in first)
 
-        # Second run (fresh runner = fresh process): finished cells are
+        # Second run (fresh store = fresh process): finished cells are
         # served from the checkpoint without re-invoking their functions.
-        resumed, _ = make_runner(tmp_path)
-
         def must_not_run():
             raise AssertionError("completed cell was re-simulated")
 
-        r1 = resumed.run_cell(done, must_not_run)
-        r2 = resumed.run_cell(also_done, must_not_run)
-        r3 = resumed.run_cell(pending, lambda: {"ipc": 3.0})
+        r1, r2, r3 = schedule(
+            tmp_path,
+            {
+                done: must_not_run,
+                also_done: must_not_run,
+                pending: lambda: {"ipc": 3.0},
+            },
+        )
         assert r1.resumed and r1.value == {"ipc": 1.0}
         assert r2.resumed and r2.value == {"ipc": 2.0}
         assert not r3.resumed and r3.value == {"ipc": 3.0}
 
     def test_failed_cells_are_not_checkpointed(self, tmp_path):
-        runner, _ = make_runner(tmp_path, max_attempts=1)
-        assert not runner.run_cell(CELL, lambda: 1 / 0).ok
+        (failed,) = schedule(tmp_path, {CELL: lambda: 1 / 0}, max_attempts=1)
+        assert not failed.ok
 
-        retry, _ = make_runner(tmp_path)
-        result = retry.run_cell(CELL, lambda: {"ipc": 9.0})
+        (result,) = schedule(tmp_path, {CELL: lambda: {"ipc": 9.0}})
         assert result.ok and not result.resumed  # actually re-ran
 
     def test_different_config_hash_is_a_different_cell(self, tmp_path):
-        runner, _ = make_runner(tmp_path)
-        runner.run_cell(CELL, lambda: {"ipc": 1.0})
+        schedule(tmp_path, {CELL: lambda: {"ipc": 1.0}})
         other_cfg = Cell(CELL.experiment, CELL.workload, "ffff00", CELL.scale)
-        result = runner.run_cell(other_cfg, lambda: {"ipc": 4.0})
+        (result,) = schedule(tmp_path, {other_cfg: lambda: {"ipc": 4.0}})
         assert not result.resumed and result.value == {"ipc": 4.0}
 
     def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path):
@@ -301,6 +314,35 @@ class TestRunStudy:
         )
         assert second["resumed"] == 1
         assert second["results"]["table1"]["go"] == row
+
+    def test_interrupted_in_process_study_keeps_finished_cells(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.harness import experiments, run_study
+
+        real_row = experiments.run_spec_row
+        rows = []
+
+        def interrupt_second_row(*args, **kwargs):
+            rows.append(args[1])
+            if len(rows) == 2:
+                raise KeyboardInterrupt  # CellRunner does not catch it
+            return real_row(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_spec_row", interrupt_second_row)
+        path = tmp_path / "study.json"
+        kwargs = dict(
+            experiments=["table1"], scale=0.02, names=("go", "compress"),
+            checkpoint_path=path, jobs=1,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_study(**kwargs)
+        assert len(CheckpointStore(path)) == 1  # the first cell survived
+
+        rows.clear()
+        second = run_study(**kwargs)
+        assert second["resumed"] == 1 and not second["failures"]
+        assert rows == ["compress"]
 
     def test_unknown_experiment_rejected(self):
         from repro.errors import ConfigError
