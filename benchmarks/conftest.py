@@ -1,9 +1,11 @@
-"""Shared configuration for the table/figure benchmark suite.
+"""Shared configuration for the paper-claims suite.
 
-Each benchmark regenerates one table or figure from the paper at a
-reduced workload scale (override with REPRO_BENCH_SCALE / the window
-list with REPRO_BENCH_WINDOWS) and prints the rows the paper reports.
-EXPERIMENTS.md records a full-scale run next to the paper's numbers.
+``test_paper_claims.py`` regenerates every table and figure from the
+paper through :func:`repro.harness.run_study` at a reduced workload
+scale (override with REPRO_BENCH_SCALE / the window list with
+REPRO_BENCH_WINDOWS), prints each artifact paper-style and checks the
+paper's claims over it.  EXPERIMENTS.md records a full-scale run next
+to the paper's numbers.
 
 Environment knobs (validated at collection time, with errors naming the
 variable and the accepted format):
@@ -14,30 +16,34 @@ variable and the accepted format):
   (default 0.4).
 * ``REPRO_BENCH_WINDOWS`` — comma-separated positive ints, window-sweep
   sizes (default ``128,256``).
-* ``REPRO_BENCH_TIMEOUT`` — positive float seconds; per-benchmark
-  wall-clock budget enforced by the robustness runner (default 1800;
-  ``0`` disables).
+* ``REPRO_BENCH_TIMEOUT`` — positive float seconds; wall-clock budget
+  of each study cell (one artifact on one workload), enforced by the
+  study's cell runner, which retries a timed-out cell like any other
+  transient failure (default 1800; ``0`` disables).
+* ``REPRO_JOBS`` — study worker processes (int or ``auto``; default 1).
 * ``REPRO_CACHE_DIR`` — optional directory for the shared artifact
   cache's disk layer: golden traces and reconvergence tables derived by
-  one benchmark (or an earlier run) are reloaded instead of re-traced.
-  Entries are content-addressed, so editing a kernel invalidates them
-  automatically.
+  one artifact (or an earlier run) are reloaded instead of re-traced,
+  at every job count.  Entries are content-addressed, so editing a
+  kernel invalidates them automatically.
 * ``REPRO_CACHE_SIZE`` — positive int; in-memory artifact LRU bound
   (default 32).
 
 Within one session the in-memory layer alone already de-duplicates: all
-figure benchmarks at the same scale share a single golden trace per
-workload via ``repro.harness.load_bundle``.
+artifacts at the same scale share a single golden trace per workload
+via ``repro.harness.load_bundle``.
 """
 
+import functools
 import math
 import os
 
 import pytest
 
 from repro.errors import CacheError
+from repro.harness import run_study
 from repro.harness.cache import get_default_cache
-from repro.harness.runner import run_protected
+from repro.harness.spec import CellRow, assemble_rows, get_spec
 
 
 def _env_float(name: str, default: str, description: str) -> float:
@@ -104,9 +110,9 @@ IDEAL_SCALE = _env_scale(
 )
 #: window sizes for the window sweeps
 WINDOWS = _env_windows("REPRO_BENCH_WINDOWS", "128,256")
-#: wall-clock budget per benchmark, seconds (0 disables)
+#: wall-clock budget per study cell, seconds (0 disables)
 BENCH_TIMEOUT = _env_float(
-    "REPRO_BENCH_TIMEOUT", "1800", "per-benchmark wall-clock budget in seconds"
+    "REPRO_BENCH_TIMEOUT", "1800", "per-cell wall-clock budget in seconds"
 )
 
 # Build the artifact cache now so REPRO_CACHE_DIR / REPRO_CACHE_SIZE
@@ -119,35 +125,35 @@ except CacheError as exc:
 
 
 @pytest.fixture(scope="session")
-def core_scale():
-    return CORE_SCALE
-
-
-@pytest.fixture(scope="session")
-def ideal_scale():
-    return IDEAL_SCALE
-
-
-@pytest.fixture(scope="session")
 def windows():
     return WINDOWS
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing.
+#: each artifact's study scale and builder knobs (others: CORE_SCALE)
+STUDY_PARAMS = {
+    "table1": (IDEAL_SCALE, {}),
+    "figure3": (IDEAL_SCALE, {"windows": WINDOWS}),
+    "figure5": (CORE_SCALE, {"windows": WINDOWS}),
+}
 
-    The call goes through the robustness runner's timeout guard: a hung
-    regeneration dies with a diagnosable ``CellTimeout`` instead of
-    stalling the suite, while genuine errors propagate unchanged.
-    """
-    return benchmark.pedantic(
-        run_protected,
-        args=(fn,),
-        kwargs={
-            "args": args,
-            "kwargs": kwargs,
-            "timeout_seconds": BENCH_TIMEOUT or None,
-        },
-        rounds=1,
-        iterations=1,
+
+@functools.cache
+def study_artifact(name: str):
+    """One artifact over every workload through ``run_study``, in the
+    shape ``run_spec`` returns; any failed cell fails the test."""
+    scale, params = STUDY_PARAMS.get(name, (CORE_SCALE, {}))
+    out = run_study(
+        [name], scale=scale, timeout_seconds=BENCH_TIMEOUT or None, **params
     )
+    if out["failures"]:
+        pytest.fail(
+            f"{name}: {len(out['failures'])} study cell(s) failed:\n"
+            + "\n".join(
+                f"  {r.key}: {r.error_type}: {r.error}" for r in out["failures"]
+            )
+        )
+    rows = [
+        CellRow(name, workload, data)
+        for workload, data in out["results"][name].items()
+    ]
+    return assemble_rows(get_spec(name), rows)

@@ -15,8 +15,8 @@ Usage:
 
 ``--jobs`` defaults to the REPRO_JOBS environment variable (else 1);
 ``--cache-dir`` persists the content-addressed golden-trace cache
-across runs at any job count (otherwise the pool shares a per-study
-temporary directory).
+across runs at any job count (otherwise the pool shares the
+REPRO_CACHE_DIR directory, or a per-study temporary one).
 ``--list`` enumerates every registered spec with its cells and exits;
 ``--only EXPERIMENT[:WORKLOAD]`` (repeatable) restricts the grid to a
 subset of study cells, so partial reruns don't need code edits.
@@ -27,13 +27,12 @@ import json
 from pathlib import Path
 
 from repro.harness.experiments import (
-    EXPERIMENTS,
     parse_only,
     run_study,
     validate_experiments,
 )
 from repro.harness.parallel import resolve_jobs
-from repro.harness.spec import get_spec, spec_names
+from repro.harness.spec import get_spec, runnable_experiments, spec_names
 from repro.workloads import WORKLOAD_NAMES
 
 
@@ -62,7 +61,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--experiments", nargs="+", default=["figure3", "figure5"],
-        metavar="EXP", help=f"experiments to run (from {sorted(EXPERIMENTS)})",
+        metavar="EXP", help=f"experiments to run (from {sorted(runnable_experiments())})",
     )
     parser.add_argument(
         "--names", nargs="+", default=list(WORKLOAD_NAMES), metavar="WORKLOAD",

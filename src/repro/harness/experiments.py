@@ -1,18 +1,15 @@
-"""Legacy experiment entrypoints: thin shims over the spec registry.
+"""The fault-isolated study: every paper artifact through one driver.
 
-Historically this module held one hand-rolled loop per paper table and
-figure.  Those artifacts are now declarative entries in
+Each paper table and figure is a declarative entry in
 :mod:`repro.harness.specs`, executed by the generic engine in
-:mod:`repro.harness.spec`; every ``run_*`` function below delegates to
-:func:`~repro.harness.spec.run_spec` and returns byte-identical rows, so
-existing callers (benchmarks, examples, tests) are unaffected.
-
-The fault-isolated study path lives here too: :func:`run_study` runs a
-cross-product of registered experiments × workloads, one
+:mod:`repro.harness.spec`.  :func:`run_study` runs a cross-product of
+registered experiments × workloads, one
 :class:`~repro.harness.spec.CellRow` per cell, through the cell
 scheduler :func:`~repro.harness.parallel.schedule_cells` — per-cell
 timeout and retry, checkpoint resume, and in-process or process-pool
-execution chosen by ``jobs`` alone.
+execution chosen by ``jobs`` alone.  It is the one way the paper is
+regenerated: ``benchmarks/test_paper_claims.py`` checks each artifact's
+claims over its output, and ``perfbench`` times it.
 """
 
 from __future__ import annotations
@@ -23,20 +20,17 @@ import tempfile
 
 from ..core import CoreConfig, CoreStats, Processor
 from ..errors import ConfigError
-from ..ideal.models import IdealModel
-from ..machines import HEURISTIC_POLICIES, detailed_machines
+from ..machines import HEURISTIC_POLICIES
 from ..workloads import WORKLOAD_NAMES
 from .batch import batch_enabled
+from .cache import get_default_cache
 from .parallel import resolve_jobs, schedule_cells
 from .runner import Cell, CheckpointStore, RunnerConfig, config_hash
 from .spec import (
     CellRow,
     WorkloadBundle,
-    derive,
     load_bundle,
-    percent_improvement as _percent_improvement,  # noqa: F401  (legacy name)
     prepare_study_batch,
-    run_spec,
     run_spec_row,
     runnable_experiments,
 )
@@ -45,163 +39,24 @@ from .specs import COMPLETION_CONFIGS, DETAILED_WINDOWS, IDEAL_WINDOWS
 __all__ = [
     "COMPLETION_CONFIGS",
     "DETAILED_WINDOWS",
-    "EXPERIMENTS",
     "HEURISTIC_POLICIES",
     "IDEAL_WINDOWS",
     "NON_SEMANTIC_KNOBS",
     "WorkloadBundle",
     "assemble_study",
     "load_bundle",
-    "load_bundles",
     "parse_only",
     "run_core",
-    "run_figure3",
-    "run_figure5",
-    "run_figure6",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
-    "run_figure12",
-    "run_figure13",
-    "run_figure14",
-    "run_figure17",
     "run_study",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
     "select_study_cells",
     "study_cells",
     "validate_experiments",
 ]
 
 
-def load_bundles(scale: float, names=WORKLOAD_NAMES) -> list[WorkloadBundle]:
-    return [load_bundle(name, scale) for name in names]
-
-
 def run_core(bundle: WorkloadBundle, config: CoreConfig) -> CoreStats:
     """One detailed-machine simulation over a prepared bundle."""
     return Processor(bundle.program, config, bundle.golden, bundle.reconv).run()
-
-
-def _detailed_machines() -> dict[str, CoreConfig]:
-    """BASE / CI / CI-I configs (now sourced from the machine registry)."""
-    return detailed_machines()
-
-
-# ----------------------------------------------------------------------
-# Per-artifact shims (signatures preserved; rows byte-identical)
-
-
-def run_table1(scale: float = 1.0, names=WORKLOAD_NAMES) -> list[dict]:
-    return run_spec("table1", scale=scale, names=names)
-
-
-def run_figure3(
-    scale: float = 0.4,
-    windows=IDEAL_WINDOWS,
-    models=tuple(IdealModel),
-    names=WORKLOAD_NAMES,
-) -> dict:
-    """IPC[workload][model][window] for the Section 2 idealized study."""
-    return run_spec(
-        "figure3",
-        scale=scale,
-        names=names,
-        windows=tuple(windows),
-        models=tuple(models),
-    )
-
-
-def run_figure5(
-    scale: float = 0.12, windows=DETAILED_WINDOWS, names=WORKLOAD_NAMES
-) -> dict:
-    """IPC[workload][machine][window] for BASE, CI and CI-I."""
-    return run_spec("figure5", scale=scale, names=names, windows=tuple(windows))
-
-
-def run_figure6(figure5: dict) -> dict:
-    """Percent IPC improvement of CI over BASE, from figure-5 data."""
-    return derive("figure6", figure5)
-
-
-def run_table2(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> list[dict]:
-    return run_spec("table2", scale=scale, names=names, window=window)
-
-
-def run_table3(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> list[dict]:
-    return run_spec("table3", scale=scale, names=names, window=window)
-
-
-def run_table4(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> list[dict]:
-    return run_spec("table4", scale=scale, names=names, window=window)
-
-
-def run_figure8(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure8", scale=scale, names=names, window=window)
-
-
-def run_figure9(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure9", scale=scale, names=names, window=window)
-
-
-def run_figure10(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    """Coverage curves per workload and scheme (static / dynamic pc / xor)."""
-    return run_spec("figure10", scale=scale, names=names, window=window)
-
-
-def run_figure12(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure12", scale=scale, names=names, window=window)
-
-
-def run_figure13(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec("figure13", scale=scale, names=names, window=window)
-
-
-def run_figure14(
-    scale: float = 0.12, window: int = 256, segments=(1, 4, 16), names=WORKLOAD_NAMES
-) -> dict:
-    return run_spec(
-        "figure14",
-        scale=scale,
-        names=names,
-        window=window,
-        segments=tuple(segments),
-    )
-
-
-def run_figure17(
-    scale: float = 0.12, window: int = 256, names=WORKLOAD_NAMES
-) -> dict:
-    """Percent IPC improvement over BASE per reconvergence policy."""
-    return run_spec("figure17", scale=scale, names=names, window=window)
-
-
-# ----------------------------------------------------------------------
-# Fault-isolated full study (robustness layer)
-
-#: every independently runnable experiment (figure 6 derives from 5),
-#: in registry order — kept as a name->callable map for compatibility
-EXPERIMENTS: dict = {
-    name: globals()[f"run_{name}"] for name in runnable_experiments()
-}
 
 
 def validate_experiments(experiments=None) -> list:
@@ -371,10 +226,10 @@ def run_study(
     CPU count) fans the grid across worker processes; results are
     byte-identical at every job count.  ``cache_dir`` keeps the
     content-addressed workload artifacts on disk across runs, whether
-    the study runs in-process or on the pool (which otherwise shares a
-    temporary directory).  ``only`` restricts the grid to
-    ``EXPERIMENT:WORKLOAD`` selectors (see :func:`select_study_cells`)
-    for partial reruns.
+    the study runs in-process or on the pool (which otherwise shares
+    the ``REPRO_CACHE_DIR`` disk layer, or a temporary directory).
+    ``only`` restricts the grid to ``EXPERIMENT:WORKLOAD`` selectors
+    (see :func:`select_study_cells`) for partial reruns.
 
     ``batch=`` (or ``REPRO_BATCH``) composes with ``jobs``: in-process
     every pending detailed cell of the study is pre-simulated through
@@ -410,7 +265,10 @@ def run_study(
         batched = batch_enabled(experiment_kwargs.get("batch"))
     except ValueError:
         batched = False  # per-cell runs report the bad knob
-    # The pool always shares one disk cache that the parent prewarms.
+    # The pool always shares one disk cache that the parent prewarms:
+    # the caller's, else REPRO_CACHE_DIR's, else a temporary one.
+    if n_jobs > 1 and cache_dir is None:
+        cache_dir = get_default_cache().disk_dir
     scratch = (
         tempfile.TemporaryDirectory(prefix="repro-study-cache-")
         if n_jobs > 1 and cache_dir is None

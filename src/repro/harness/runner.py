@@ -20,9 +20,10 @@ loses every completed result.  This module executes each cell through a
   so re-running an interrupted study skips them.
 
 Checkpointed values round-trip through JSON, so cell functions must
-return JSON-serialisable data (the spec engine's
-:meth:`~repro.harness.spec.CellRow.to_payload` dicts are; note JSON
-turns integer dict keys into strings).
+return JSON-serialisable data.  JSON turns integer dict keys into
+strings and tuples into lists; the spec engine's
+:meth:`~repro.harness.spec.CellRow.to_payload` tags both, so a resumed
+study returns exactly the rows a fresh one does.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ from ..errors import CellTimeout, CheckpointError, TransientError
 #: Version 1 stored each experiment runner's raw return value
 #: (``{workload: data}`` dicts / one-row lists).  Version 2 stores the
 #: uniform ``CellRow`` payload (``{"experiment", "workload", "data"}``)
-#: produced by :func:`repro.harness.spec.run_spec_row`.  Old checkpoint
-#: files are rejected with a :class:`~repro.errors.CheckpointError`
-#: telling the user to delete them; cells then re-run from scratch.
-CHECKPOINT_VERSION = 2
+#: produced by :func:`repro.harness.spec.run_spec_row`.  Version 3
+#: tags the payload's int dict keys and tuples so they survive JSON
+#: (version 2 handed them back as strings and lists on resume).  Old
+#: checkpoint files are rejected with a
+#: :class:`~repro.errors.CheckpointError` telling the user to delete
+#: them; cells then re-run from scratch.
+CHECKPOINT_VERSION = 3
 
 
 def _canonical(value: Any) -> Any:
@@ -405,20 +409,6 @@ class CellRunner:
         return [self.run_cell(cell, fn) for cell, fn in cells]
 
 
-def run_protected(
-    fn: Callable, args: tuple = (), kwargs: dict | None = None,
-    timeout_seconds: float | None = None,
-):
-    """Run one callable under the cell timeout guard, re-raising failures.
-
-    Used by the benchmark suite: a hung table/figure regeneration dies
-    with a clear :class:`~repro.errors.CellTimeout` instead of stalling
-    CI forever, while real errors propagate unchanged (benchmarks must
-    assert on genuine results, not degraded placeholders).
-    """
-    return call_with_timeout(lambda: fn(*args, **(kwargs or {})), timeout_seconds)
-
-
 __all__ = [
     "Cell",
     "CellRunner",
@@ -428,5 +418,4 @@ __all__ = [
     "RunnerConfig",
     "call_with_timeout",
     "config_hash",
-    "run_protected",
 ]

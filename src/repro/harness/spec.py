@@ -11,7 +11,7 @@ hand-rolled runner function:
   metric to extract from its stats, and where the value lands in the
   artifact's row shape (``group``/``key``).
 * :class:`ExperimentSpec` — one paper figure or table: its cells, the
-  row shape that folds cell values into the legacy result structure,
+  row shape that folds cell values into the artifact's result structure,
   an optional derived transform (e.g. Figure 6 is a percent-improvement
   view over Figure 5), and the default scale.
 
@@ -28,9 +28,11 @@ per (experiment, workload) cell, in-process or on a process pool, so
 checkpoint resume and process fan-out compose with every registered
 spec automatically.
 
-Specs serialize to plain JSON (:func:`spec_to_dict` /
-:func:`spec_from_dict`): enums are tagged by class and name, tuples are
-tagged so round-trips preserve hashability and equality.
+Specs and :class:`CellRow` payloads serialize to plain JSON
+(:func:`spec_to_dict` / :func:`spec_from_dict`, :meth:`CellRow.to_payload`
+/ :meth:`CellRow.from_payload`): enums are tagged by class and name,
+tuples and dicts with non-``str`` keys are tagged, so round-trips
+preserve hashability, key types and equality.
 """
 
 from __future__ import annotations
@@ -240,11 +242,12 @@ class CellRow:
     data: Any
 
     def to_payload(self) -> dict:
-        """The JSON-serialisable form stored in checkpoints."""
+        """The JSON-serialisable form stored in checkpoints; ``data`` is
+        tagged (see :func:`_encode`) so int keys and tuples survive JSON."""
         return {
             "experiment": self.experiment,
             "workload": self.workload,
-            "data": self.data,
+            "data": _encode(self.data),
         }
 
     @classmethod
@@ -253,7 +256,7 @@ class CellRow:
             return cls(
                 experiment=payload["experiment"],
                 workload=payload["workload"],
-                data=payload["data"],
+                data=_decode(payload["data"]),
             )
         except (TypeError, KeyError):
             raise ConfigError(
@@ -787,7 +790,7 @@ def run_spec_row(
 
 
 def assemble_rows(spec: ExperimentSpec, rows: list[CellRow]) -> Any:
-    """Fold per-workload rows into the artifact's legacy result shape."""
+    """Fold per-workload rows into the artifact's result shape."""
     if spec.shape == "rows":
         return [row.data for row in rows]
     return {row.workload: row.data for row in rows}
@@ -804,10 +807,9 @@ def run_spec(
 ) -> Any:
     """Run one registered artifact end to end.
 
-    Returns exactly the structure the legacy ``run_figureN`` /
-    ``run_tableN`` functions returned (they are now shims over this
-    engine), so formatters, benchmarks and checkpoints see identical
-    rows.  ``names`` selects workloads; ``cells`` selects cells by label
+    Returns the artifact's result shape (:func:`assemble_rows`), the
+    structure the formatters in :mod:`repro.harness.tables` print.
+    ``names`` selects workloads; ``cells`` selects cells by label
     (:func:`select_cells`); builder knobs (``windows=...``,
     ``segments=...``) re-materialize the spec through its builder;
     ``batch`` (default: ``REPRO_BATCH``) array-batches each row's
@@ -871,7 +873,9 @@ def _encode(value: Any) -> Any:
     if isinstance(value, list):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        if all(isinstance(k, str) for k in value):
+            return {k: _encode(v) for k, v in value.items()}
+        return {"$dict": [[_encode(k), _encode(v)] for k, v in value.items()]}
     return value
 
 
@@ -887,6 +891,8 @@ def _decode(value: Any) -> Any:
                 ) from None
         if "$tuple" in value:
             return tuple(_decode(v) for v in value["$tuple"])
+        if "$dict" in value:
+            return {_decode(k): _decode(v) for k, v in value["$dict"]}
         return {k: _decode(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_decode(v) for v in value]

@@ -4,15 +4,16 @@ Each entry below is one artifact from *A Study of Control Independence
 in Superscalar Processors* (HPCA 1999), declared as data: which machines
 run, at which knob settings, which metric is read from each cell, and
 how the cells fold into the artifact's row shape.  The generic engine in
-:mod:`repro.harness.spec` executes any of them; the legacy
-``run_figureN`` / ``run_tableN`` functions in
-:mod:`repro.harness.experiments` are thin shims over these entries and
-produce byte-identical rows.
+:mod:`repro.harness.spec` executes any of them, and
+:func:`repro.harness.experiments.run_study` runs them as a
+fault-isolated grid.
 
 Registration order is paper order (Table 1, Figure 3, Figure 5,
 Figure 6, Tables 2-4, Figures 8-17); the runnable subset (Figure 6 is a
-derived view over Figure 5) matches the historical ``EXPERIMENTS``
-order, so study checkpoints enumerate cells identically.
+derived view over Figure 5) is the order a study enumerates its cells
+in, so study checkpoints stay stable.  A map-shaped artifact's
+``title`` is the heading :func:`repro.harness.tables.format_experiment`
+prints for it.
 
 Builders are parameterized by their artifact's sweep knobs (``windows``,
 ``window``, ``segments``, ``models``); calling ``run_spec(name,
@@ -242,7 +243,7 @@ def _figure8(window: int = 256) -> ExperimentSpec:
     return ExperimentSpec(
         name="figure8",
         artifact="Figure 8",
-        title="Simple vs optimal preemption",
+        title="Simple vs optimal preemption (IPC)",
         shape="map",
         default_scale=0.12,
         cells=tuple(
@@ -275,7 +276,7 @@ def _figure9(window: int = 256) -> ExperimentSpec:
     return ExperimentSpec(
         name="figure9",
         artifact="Figure 9",
-        title="Branch completion models and false mispredictions",
+        title="Branch completion models (IPC)",
         shape="map",
         default_scale=0.12,
         cells=tuple(
@@ -336,7 +337,7 @@ def _figure12(window: int = 256) -> ExperimentSpec:
     return ExperimentSpec(
         name="figure12",
         artifact="Figure 12",
-        title="Oracle global branch history",
+        title="Oracle global history (IPC)",
         shape="map",
         default_scale=0.12,
         cells=tuple(
@@ -366,7 +367,7 @@ def _figure13(window: int = 256) -> ExperimentSpec:
     return ExperimentSpec(
         name="figure13",
         artifact="Figure 13",
-        title="Re-predict sequences",
+        title="Re-predict sequences (IPC)",
         shape="map",
         default_scale=0.12,
         cells=(
@@ -408,7 +409,7 @@ def _figure14(window: int = 256, segments=(1, 4, 16)) -> ExperimentSpec:
     return ExperimentSpec(
         name="figure14",
         artifact="Figure 14",
-        title="Segmented reorder buffers",
+        title="ROB segment size (IPC)",
         shape="map",
         default_scale=0.12,
         cells=(
@@ -445,7 +446,7 @@ def _figure17(window: int = 256) -> ExperimentSpec:
     return ExperimentSpec(
         name="figure17",
         artifact="Figure 17",
-        title="Hardware reconvergence heuristics, percent over BASE",
+        title="Reconvergence heuristics (% IPC improvement over BASE)",
         shape="map",
         default_scale=0.12,
         transform="pct_vs_base",

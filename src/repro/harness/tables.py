@@ -178,7 +178,7 @@ def format_experiment(name: str, data) -> str:
     formatter = SPEC_FORMATTERS.get(name)
     if formatter is not None:
         return formatter(data)
-    title = f"{spec.artifact.upper()}. {spec.title}"
+    title = f"{spec.artifact.upper()}. {spec.title}."
     return format_simple_map(title, data, percent=name in PERCENT_SPECS)
 
 

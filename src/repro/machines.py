@@ -318,10 +318,8 @@ def heuristic_machine(policy: ReconvPolicy) -> Machine:
 def detailed_machines() -> dict[str, CoreConfig]:
     """The BASE / CI / CI-I configurations, materialized.
 
-    This is the single source of truth behind the harness's historical
-    ``_detailed_machines()`` helper and the machine matrices in
-    ``examples/``; each call returns fresh ``CoreConfig`` instances so
-    callers may layer their own overrides.
+    Each call returns fresh ``CoreConfig`` instances so callers may
+    layer their own overrides.
     """
     return {
         name: MACHINES[name].core_config() for name in DETAILED_MACHINE_NAMES

@@ -1,5 +1,10 @@
 """Error taxonomy, config validation and diagnostics snapshots."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -191,3 +196,33 @@ class TestGoldenTraceBudget:
         assert len(GoldenTrace(program, max_steps=n).entries) == n
         with pytest.raises(ExecutionLimitExceeded):
             GoldenTrace(program, max_steps=n - 1)
+
+
+class TestBenchKnobValidation:
+    """A malformed ``REPRO_BENCH_*`` value stops the paper-claims suite
+    at collection (pytest exit code 4), naming the variable."""
+
+    REPO = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REPRO_BENCH_SCALE", "0"),
+            ("REPRO_BENCH_IDEAL_SCALE", "abc"),
+            ("REPRO_BENCH_WINDOWS", "64,x"),
+            ("REPRO_BENCH_TIMEOUT", "-1"),
+        ],
+    )
+    def test_malformed_knob_fails_collection(self, name, value):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_BENCH_")}
+        env[name] = value
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(self.REPO / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "benchmarks/", "--collect-only", "-q",
+             "-p", "no:cacheprovider"],
+            cwd=self.REPO, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        assert name in proc.stdout + proc.stderr

@@ -324,3 +324,16 @@ class TestSharedCacheDir:
         # A second study over the same grid reuses the entries untouched.
         run_study(cache_dir=cache_dir, **kwargs)
         assert {p: p.stat().st_mtime_ns for p in entries} == mtimes
+
+    def test_pool_study_honours_repro_cache_dir(self, tmp_path, monkeypatch):
+        from repro.harness.cache import reset_default_cache
+
+        cache_dir = tmp_path / "artifacts"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        reset_default_cache()
+        try:
+            run_study(experiments=["table2"], scale=SCALE, names=("go",), jobs=2)
+        finally:
+            reset_default_cache()
+        # the pool's shared disk layer is REPRO_CACHE_DIR, not a temp dir
+        assert len(list(cache_dir.glob("*.pkl"))) == 1

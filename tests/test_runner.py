@@ -315,6 +315,21 @@ class TestRunStudy:
         assert second["resumed"] == 1
         assert second["results"]["table1"]["go"] == row
 
+    def test_resumed_study_returns_the_fresh_rows(self, tmp_path):
+        from repro.harness import run_study
+
+        # int window keys (figure3/5) and tuples (figure10's curve points
+        # and counts) must come back from the checkpoint as they went in
+        kwargs = dict(
+            experiments=["figure3", "figure5", "figure10"], scale=0.02,
+            names=("go",), checkpoint_path=tmp_path / "study.json",
+        )
+        fresh = run_study(**kwargs)
+        resumed = run_study(**kwargs)
+        assert fresh["failures"] == [] and resumed["resumed"] == 3
+        for experiment in kwargs["experiments"]:
+            assert resumed["results"][experiment] == fresh["results"][experiment]
+
     def test_interrupted_in_process_study_keeps_finished_cells(
         self, tmp_path, monkeypatch
     ):

@@ -1,6 +1,8 @@
 """Spec engine: registry completeness, serialization, selection, drift."""
 
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,7 @@ from repro.core import (
 from repro.errors import ConfigError
 from repro.harness import run_study
 from repro.harness.experiments import (
-    EXPERIMENTS,
     parse_only,
-    run_figure5,
     select_study_cells,
     study_cells,
     validate_experiments,
@@ -34,8 +34,10 @@ from repro.harness.spec import (
     SpecProfile,
 )
 from repro.harness.tables import format_experiment, format_rows
+from repro.ideal.models import IdealModel
 
 SCALE = 0.02
+GOLDENS_DIR = Path(__file__).parent / "goldens"
 
 #: every artifact the repo reproduces from the paper
 PAPER_ARTIFACTS = {
@@ -70,9 +72,6 @@ class TestRegistryCompleteness:
         assert "figure6" not in runnable  # derives from figure5
         assert set(runnable) == set(spec_names()) - {"figure6"}
 
-    def test_legacy_experiments_map_driven_from_registry(self):
-        assert tuple(EXPERIMENTS) == runnable_experiments()
-
     def test_validate_experiments_defaults_to_registry(self):
         assert validate_experiments() == list(runnable_experiments())
 
@@ -105,6 +104,12 @@ class TestSerialization:
     def test_cellrow_payload_round_trip(self):
         row = CellRow(experiment="figure5", workload="go", data={"a": 1})
         assert CellRow.from_payload(row.to_payload()) == row
+
+    def test_cellrow_payload_keeps_key_types_through_json(self):
+        data = {128: {"curve": [(0.5, 1.0)], "counts": (3, 1)}, "go": [1, 2]}
+        row = CellRow(experiment="figure5", workload="go", data=data)
+        payload = json.loads(json.dumps(row.to_payload()))
+        assert CellRow.from_payload(payload) == row
 
     def test_malformed_cellrow_rejected(self):
         with pytest.raises(ConfigError, match="malformed"):
@@ -152,17 +157,38 @@ class TestConfigDrift:
         assert cell.machine.materialize() == expected
         assert cell.tfr == ("static", "dynamic_pc", "dynamic_xor")
 
+    def test_registry_cells_match_goldens(self, monkeypatch):
+        # One detailed and one idealized cell at the goldens' operating
+        # point (tests/test_equivalence.py): the detailed cell against
+        # the v2 generation the default order scheme produces, the
+        # idealized one against the seed.
+        monkeypatch.delenv("REPRO_ORDER", raising=False)
+        goldens = {}
+        for scheme, name in (("v1", "equivalence.pkl"), ("v2", "equivalence_v2.pkl")):
+            with (GOLDENS_DIR / name).open("rb") as f:
+                goldens[scheme] = pickle.load(f)
+
+        def golden_ipc(scheme, key):
+            entry = goldens[scheme][key]
+            return entry["retired"] / entry["cycles"]
+
+        detailed = run_spec(
+            "figure5", scale=0.12, names=("compress",), windows=(256,),
+            cells=["CI/w256"],
+        )
+        assert detailed["compress"]["CI"][256] == golden_ipc(
+            "v2", ("core", "compress", "CI")
+        )
+        ideal = run_spec(
+            "figure3", scale=0.12, names=("compress",), windows=(256,),
+            models=(IdealModel.ORACLE,),
+        )
+        assert ideal["compress"]["oracle"][256] == golden_ipc(
+            "v1", ("ideal", "compress", "oracle")
+        )
+
 
 class TestEngine:
-    def test_run_spec_matches_legacy_shim(self):
-        via_spec = run_spec(
-            "figure5", scale=SCALE, names=("go",), windows=(128,)
-        )
-        via_legacy = run_figure5(scale=SCALE, names=("go",), windows=(128,))
-        assert json.dumps(via_spec, sort_keys=True) == json.dumps(
-            via_legacy, sort_keys=True
-        )
-
     def test_derived_spec_runs_end_to_end(self):
         out = run_spec("figure6", scale=SCALE, names=("go",), )
         assert set(out) == {"go"}
