@@ -41,6 +41,14 @@ Checked invariants, by ``SanitizerError.structure``:
   the window and the LSQ, independently of the core's cached oldest
   incomplete branch.  Configurations that hide false mispredictions
   retry every cycle and are not audited.
+* ``pool-free-list`` — the instruction pool's free list and the linked
+  window split the real slots between them: no slot is on the free list
+  twice (a double free), none is both linked and free, and none is in
+  neither (a leak, which eventually starves dispatch).  ``pool.live``
+  equals ``rob.count``, and in a segmented window ``segments_allocated``
+  equals the number of distinct segments the linked slots occupy.  The
+  suffix squash recycles a whole run of slots at once, so this is the
+  audit that would see a miscounted splice.
 
 The sanitizer is attached by ``Processor.__init__`` as the *first*
 cycle hook when :meth:`repro.core.CoreConfig.sanitize_enabled` is true,
@@ -63,6 +71,7 @@ STRUCTURES = (
     "commit-order",
     "lsq",
     "gate-wakeup",
+    "pool-free-list",
 )
 
 
@@ -100,6 +109,7 @@ class MachineSanitizer:
         self._check_commit_order(proc)
         self._check_lsq(proc, linked)
         self._check_gate_wakeup(proc)
+        self._check_pool_free_list(proc, linked)
 
     def _fail(self, proc, structure: str, message: str) -> None:
         raise SanitizerError(
@@ -305,3 +315,51 @@ class MachineSanitizer:
                 f"pending branch {pool.describe(h)} has an open completion "
                 "gate but no gate event is outstanding (missed wakeup)",
             )
+
+    def _check_pool_free_list(self, proc, linked: list) -> None:
+        pool = proc.pool
+        rob = proc.rob
+        free = pool._free
+        on_free = set(free)
+        if len(on_free) != len(free):
+            twice = next(h for h in free if free.count(h) > 1)
+            self._fail(
+                proc, "pool-free-list",
+                f"slot {twice} is on the free list twice (double free)",
+            )
+        for h in free:
+            if not TAIL < h < pool.capacity:
+                self._fail(
+                    proc, "pool-free-list",
+                    f"free list holds {h!r}, which is not a real pool slot",
+                )
+        for h in linked:
+            if h in on_free:
+                self._fail(
+                    proc, "pool-free-list",
+                    f"linked slot {pool.describe(h)} is also on the free "
+                    "list (freed while still in the window)",
+                )
+        if len(linked) + len(free) != pool.capacity - 2:
+            leaked = sorted(
+                set(range(TAIL + 1, pool.capacity)) - on_free - set(linked)
+            )
+            self._fail(
+                proc, "pool-free-list",
+                f"slots {leaked} are neither linked nor on the free list "
+                "(leaked)",
+            )
+        if pool.live != rob.count:
+            self._fail(
+                proc, "pool-free-list",
+                f"pool.live={pool.live} but rob.count={rob.count}",
+            )
+        if rob.segment_size > 1:
+            segment_col = pool.segment
+            occupied = len({id(segment_col[h]) for h in linked})
+            if occupied != rob.segments_allocated:
+                self._fail(
+                    proc, "pool-free-list",
+                    f"rob.segments_allocated={rob.segments_allocated} but "
+                    f"the linked slots occupy {occupied} segments",
+                )

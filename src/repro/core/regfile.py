@@ -22,12 +22,11 @@ from ..isa import NUM_REGS, REG_ZERO
 class PhysReg:
     """One physical register: value + readiness + registered consumers."""
 
-    __slots__ = ("value", "ready", "version", "consumers", "producer")
+    __slots__ = ("value", "ready", "consumers", "producer")
 
     def __init__(self, producer=None):
         self.value = 0
         self.ready = False
-        self.version = 0
         self.consumers: list = []  # packed refs to wake on broadcast
         self.producer = producer  # packed ref of the owner (None = arch)
 
@@ -36,8 +35,6 @@ class PhysReg:
         changed = not self.ready or self.value != value
         self.value = value
         self.ready = True
-        if changed:
-            self.version += 1
         return changed
 
 

@@ -47,8 +47,10 @@ has retired or been squashed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .config import resolve_order_scheme
-from .soa import HEAD, TAIL, InstrPool, OrderIndex
+from .soa import HEAD, REF_SHIFT, TAIL, InstrPool, OrderIndex
 
 _SPACING = 1 << 16
 
@@ -247,33 +249,75 @@ class ReorderBuffer:
         return segment
 
     def append(self, h: int, segment: Segment | None) -> Segment | None:
+        """Link slot ``h`` at the tail; returns the segment used."""
+        return self.insert_after(self.pool.prev[TAIL], h, segment)
+
+    def dispatch_tail(
+        self, uid: int, pc: int, instr, cycle: int, segment: Segment | None
+    ) -> int:
+        """Claim a pool slot for a frontier-dispatched instruction and
+        append it at the tail; returns its handle.
+
+        Under v2 this fuses :meth:`InstrPool.alloc`, the tail link and the
+        monotonic order key into one frame (the hottest call in the
+        simulator: one per fetched instruction).  The slot's columns end
+        exactly as ``alloc`` + :meth:`append` leave them — a test pins
+        the two paths column by column.  The segment the slot joined is
+        left in ``pool.segment[h]`` (None when ``segment_size == 1``)."""
         pool = self.pool
         if not self._v2:
-            return self.insert_after(pool.prev[TAIL], h, segment)
-        # v2 frontier-dispatch fast path: a tail append is one link splice,
-        # one monotonic key and one index tail write, fused here to spare
-        # the insert_after/_place call frames on the hottest loop in the
-        # simulator (one call per fetched instruction).
+            h = pool.alloc(uid, pc, instr, cycle)
+            self.insert_after(pool.prev[TAIL], h, segment)
+            return h
+        free = pool._free
+        if not free:
+            pool.alloc(uid, pc, instr, cycle)  # raises PoolExhausted
+        h = free.pop()
+        pool.allocated_total += 1
+        pool.uid[h] = uid
+        pool.ref[h] = (uid << REF_SHIFT) | h
+        pool.pc[h] = pc
+        pool.instr[h] = instr
+        pool.dispatch_cycle[h] = cycle
+        pool.state[h] = 0
+        pool.issue_count[h] = 0
+        pool.value[h] = None
+        pool.addr[h] = None
+        pool.prev_addr[h] = None
+        pool.store_value[h] = None
+        pool.fwd_store[h] = None
+        pool.ras_snapshot[h] = None
+        pool.outcome_taken[h] = False
+        pool.outcome_next_pc[h] = 0
         prev_col = pool.prev
-        next_col = pool.next
         prev = prev_col[TAIL]
         prev_col[h] = prev
-        next_col[h] = TAIL
-        next_col[prev] = h
+        pool.next[h] = TAIL
+        pool.next[prev] = h
         prev_col[TAIL] = h
         pool.order[h] = order = self._next_order
         self._next_order = order + _SPACING
-        self._alive_orders.append(order)
+        index = self._alive_orders  # inlined OrderIndex.append
+        n = index._n
+        if n == len(index._buf):
+            index._grow()
+        index._buf[n] = order
+        index._n = n + 1
         self.count += 1
         if self.segment_size == 1:
-            return None
+            pool.segment[h] = None
+            return h
         segment = self.alloc_into(segment)
         pool.segment[h] = segment
         segment.live += 1
-        return segment
+        return h
 
     def remove(self, h: int) -> None:
-        """Unlink a dead slot, release its window slot, recycle it."""
+        """Unlink a dead slot, release its window slot, recycle it.
+
+        The order-index removal and the free-list push are inlined (this
+        class owns both through its pool and index): retirement and
+        per-node squashes pay one call per instruction, not three."""
         pool = self.pool
         prev_col = pool.prev
         next_col = pool.next
@@ -286,12 +330,53 @@ class ReorderBuffer:
             if segment.live == 0:
                 self.segments_allocated -= 1
         self.count -= 1
-        self._alive_orders.remove(pool.order[h])
-        pool.free(h)
+        index = self._alive_orders
+        n = index._n
+        buf = index._buf
+        i = bisect_left(buf, pool.order[h], 0, n)
+        buf[i : n - 1] = buf[i + 1 : n]
+        index._n = n - 1
+        pool._free.append(h)
 
     #: Unlink a retired instruction — same slot accounting as ``remove``,
     #: aliased rather than delegated (one call frame per retirement).
     retire = remove
+
+    def remove_after(self, last_kept: int) -> list[int]:
+        """Unlink the suffix after ``last_kept`` (every slot up to the
+        tail) and recycle its slots; returns them tail-first.
+
+        One link splice, one order-index truncation by count and one
+        free-list extend replace a per-slot :meth:`remove`: the suffix's
+        keys are the largest in the index, and the free list receives the
+        slots in the same tail-first order a per-slot squash pushes them.
+        A ``last_kept`` that is not linked squashes the whole window, as
+        a tail-first walk that never meets it would.  The caller marks
+        the victims dead; their columns stay readable until the next
+        allocation."""
+        pool = self.pool
+        prev_col = pool.prev
+        victims: list[int] = []
+        node = prev_col[TAIL]
+        while node != last_kept and node != HEAD:
+            victims.append(node)
+            node = prev_col[node]
+        if not victims:
+            return victims
+        pool.next[node] = TAIL
+        prev_col[TAIL] = node
+        k = len(victims)
+        self.count -= k
+        if self.segment_size != 1:
+            segment_col = pool.segment
+            for h in victims:
+                segment = segment_col[h]
+                segment.live -= 1
+                if segment.live == 0:
+                    self.segments_allocated -= 1
+        self._alive_orders.drop_last(k)
+        pool._free.extend(victims)
+        return victims
 
     # ------------------------------------------------------------------
     # traversal

@@ -149,6 +149,10 @@ class OrderIndex:
         buf[i : n - 1] = buf[i + 1 : n]
         self._n = n - 1
 
+    def drop_last(self, count: int) -> None:
+        """Remove the ``count`` largest keys — a window suffix squash."""
+        self._n -= count
+
     def renumber(self, count: int, spacing: int) -> None:
         """Refill the column with ``spacing * (1..count)`` — the key
         layout a ROB renumber assigns — in one block copy."""
@@ -223,9 +227,12 @@ class InstrPool:
 
     One column per ``DynInstr`` field of the historical object model; an
     instruction is an integer handle, allocated by :meth:`alloc` and
-    recycled through a free list by :meth:`free` when the ROB unlinks it
-    at retire/squash.  Handles :data:`HEAD` and :data:`TAIL` are the
-    window's permanent boundary slots and are never allocated.
+    recycled through a LIFO free list when the ROB unlinks it at
+    retire/squash.  The ROB's hot paths (``dispatch_tail``, ``remove``,
+    ``remove_after``) pop and push the free list directly; :meth:`alloc`
+    and :meth:`free` are the one-slot spellings they must match.
+    Handles :data:`HEAD` and :data:`TAIL` are the window's permanent
+    boundary slots and are never allocated.
 
     Columns split by type, deliberately:
 
@@ -263,7 +270,6 @@ class InstrPool:
         "src2_tag",
         "dest_tag",
         "dest_arch",
-        "prev_tag",
         # execution-state columns
         "dispatch_cycle",
         "issue_count",
@@ -305,7 +311,6 @@ class InstrPool:
         self.src2_tag = list(none_col)
         self.dest_tag = list(none_col)
         self.dest_arch = list(none_col)
-        self.prev_tag = list(none_col)
         self.dispatch_cycle = [0] * capacity
         self.issue_count = [0] * capacity
         self.value = list(none_col)
@@ -344,10 +349,13 @@ class InstrPool:
         links the slot and assigns its order key.  Raises
         :class:`~repro.errors.PoolExhausted` when no slot is free.
 
-        The prediction columns (``predicted_next_pc``, ``current_*``,
-        ``history_used``) are not reset: dispatch writes all of them
-        through ``_predict_control`` for every control instruction, and
-        every reader is confined to control instructions (the
+        The rename columns (``src1_tag``, ``src2_tag``, ``dest_arch``,
+        ``dest_tag``) are not reset: dispatch's rename writes all four
+        for every instruction before anything reads them.  The
+        prediction columns (``predicted_next_pc``, ``current_*``,
+        ``history_used``) are not reset either: dispatch writes all of
+        them through ``_predict_control`` for every control instruction,
+        and every reader is confined to control instructions (the
         field-access atlas lists the readers; a test pins them).
         """
         free = self._free
@@ -367,11 +375,6 @@ class InstrPool:
         self.dispatch_cycle[h] = cycle
         self.state[h] = 0
         self.segment[h] = None
-        self.src1_tag[h] = None
-        self.src2_tag[h] = None
-        self.dest_tag[h] = None
-        self.dest_arch[h] = None
-        self.prev_tag[h] = None
         self.issue_count[h] = 0
         self.value[h] = None
         self.addr[h] = None

@@ -67,15 +67,35 @@ class BackendStage:
     # issue & execute
 
     def _issue_phase(self) -> None:
-        budget = self.config.width
-        issued = 0
+        """Pop up to ``width`` eligible slots and execute each in place.
+
+        Execution is inlined: it reads the operand tags, runs the shared
+        raw kernel (one semantic definition in :mod:`repro.isa`; the
+        ``ExecResult`` that ``evaluate()`` builds would be pure allocation
+        here) and files the completion event straight into the wheel —
+        every latency comes from the table the wheel was sized over at
+        construction, so its horizon guard cannot fire on this path."""
         ready = self._ready
+        cycle = self.cycle
+        if not ready or ready[0][0] > cycle:
+            return
+        budget = self.config.width
         pop = heapq.heappop
         pool = self.pool
         state = pool.state
         uids = pool.uid
-        cycle = self.cycle
-        while ready and budget > 0:
+        issue_count = pool.issue_count
+        instr_col = pool.instr
+        src1_tag = pool.src1_tag
+        src2_tag = pool.src2_tag
+        value_col = pool.value
+        refs = pool.ref
+        lat = self._lat
+        wheel_mask = self._wheel_mask
+        wheel_nodes = self._wheel_nodes
+        wheel_tokens = self._wheel_tokens
+        issued = 0
+        while ready and issued < budget:
             eligible, _, uid, h = ready[0]
             if eligible > cycle:
                 break
@@ -85,58 +105,49 @@ class BackendStage:
                 # instruction; the current occupant's own in_ready flag
                 # must not be touched.
                 continue
-            state[h] &= ~ST_IN_READY
-            if state[h] & ST_DEAD:
+            s = state[h] & ~ST_IN_READY
+            if s & ST_DEAD:
+                state[h] = s
                 continue
-            self._execute(h)
-            budget -= 1
             issued += 1
-        if issued:
-            self.stats.stage_issue_cycles += 1
-
-    def _execute(self, h: int) -> None:
-        self.stats.issues_total += 1
-        pool = self.pool
-        token = pool.issue_count[h] + 1
-        pool.issue_count[h] = token
-        state = pool.state
-        s = state[h]
-        if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
-            s |= ST_REISSUED_MP
-        state[h] = s | ST_INFLIGHT
-        instr = pool.instr[h]
-        t1, t2 = pool.src1_tag[h], pool.src2_tag[h]
-        a = t1.value if t1 is not None else 0
-        b = t2.value if t2 is not None else 0
-        # Dispatch straight to the shared raw kernels (single semantic
-        # definition in repro.isa.instructions) — the ExecResult wrapper
-        # evaluate() builds per call is pure allocation on this path.
-        opcode = instr.opcode
-        if instr.f_mem:
-            addr = effective_addr(instr, a)
-            if instr.f_load:
-                pool.addr[h] = addr
-                latency = 1 + self.cache.access(addr)
+            token = issue_count[h] + 1
+            issue_count[h] = token
+            if s & ST_FETCHED_MP and s & ST_ISSUED_MP:
+                s |= ST_REISSUED_MP
+            state[h] = s | ST_INFLIGHT
+            instr = instr_col[h]
+            t1 = src1_tag[h]
+            t2 = src2_tag[h]
+            a = t1.value if t1 is not None else 0
+            b = t2.value if t2 is not None else 0
+            opcode = instr.opcode
+            if instr.f_mem:
+                addr = effective_addr(instr, a)
+                if instr.f_load:
+                    pool.addr[h] = addr
+                    latency = 1 + self.cache.access(addr)
+                else:
+                    pool.prev_addr[h] = pool.addr[h]
+                    pool.addr[h] = addr
+                    pool.store_value[h] = b
+                    latency = lat[opcode]
+            elif instr.f_control:
+                taken, next_pc, value = CONTROL_KERNELS[opcode](
+                    instr, pool.pc[h], a, b
+                )
+                pool.outcome_taken[h] = taken
+                pool.outcome_next_pc[h] = next_pc
+                value_col[h] = value  # call link address
+                latency = lat[opcode]
             else:
-                pool.prev_addr[h] = pool.addr[h]
-                pool.addr[h] = addr
-                pool.store_value[h] = b
-                latency = self._lat[opcode]
-        elif instr.f_control:
-            taken, next_pc, value = CONTROL_KERNELS[opcode](instr, pool.pc[h], a, b)
-            pool.outcome_taken[h] = taken
-            pool.outcome_next_pc[h] = next_pc
-            pool.value[h] = value  # call link address
-            latency = self._lat[opcode]
-        else:
-            pool.value[h] = VALUE_KERNELS[opcode](instr, a, b)
-            latency = self._lat[opcode]
-        # Inlined CompletionWheel.schedule: every latency comes from the
-        # table the wheel was sized over at construction, so the horizon
-        # guard cannot fire on this path.
-        slot = (self.cycle + latency) & self._wheel_mask
-        self._wheel_nodes[slot].append(pool.ref[h])
-        self._wheel_tokens[slot].append(token)
+                value_col[h] = VALUE_KERNELS[opcode](instr, a, b)
+                latency = lat[opcode]
+            slot = (cycle + latency) & wheel_mask
+            wheel_nodes[slot].append(refs[h])
+            wheel_tokens[slot].append(token)
+        if issued:
+            self.stats.issues_total += issued
+            self.stats.stage_issue_cycles += 1
 
     # ==================================================================
     # completion
@@ -148,13 +159,34 @@ class BackendStage:
         state = pool.state
         issue_count = pool.issue_count
         if refs_due:
-            complete = self._complete
+            # A branch goes through its completion gate (waiting in
+            # _pending_branches while the gate is closed), a memory op
+            # through _complete; every other op completes inline (state
+            # bits plus the broadcast).
+            complete_mem = self._complete
+            try_branch = self._try_complete_branch
+            broadcast = self._broadcast
+            instr_col = pool.instr
+            dest_tag = pool.dest_tag
             for ref, token in zip(refs_due, tokens):
                 h = ref & REF_MASK
-                if refs[h] != ref or state[h] & ST_DEAD or token != issue_count[h]:
+                s = state[h]
+                if refs[h] != ref or s & ST_DEAD or token != issue_count[h]:
                     continue
-                state[h] &= ~ST_INFLIGHT
-                complete(h)
+                instr = instr_col[h]
+                if instr.f_branch or instr.f_indirect:
+                    state[h] = s & ~ST_INFLIGHT
+                    if not try_branch(h):
+                        self._pending_branches.append((ref, token))
+                    continue
+                if instr.f_mem:
+                    state[h] = s & ~ST_INFLIGHT
+                    complete_mem(h)
+                    continue
+                state[h] = (s & ~ST_INFLIGHT) | ST_COMPLETED
+                self._any_completed = True
+                if dest_tag[h] is not None:
+                    broadcast(h)
             refs_due.clear()
             tokens.clear()
         # Gated branches are rescanned only after an event that can open
@@ -178,15 +210,12 @@ class BackendStage:
             self._any_recovered = False
 
     def _complete(self, h: int) -> None:
+        """Complete a memory op: a load takes its value (forwarded or
+        from committed memory) and broadcasts it, a store resolves."""
         pool = self.pool
-        instr = pool.instr[h]
-        if instr.f_branch or instr.f_indirect:
-            if not self._try_complete_branch(h):
-                self._pending_branches.append((pool.ref[h], pool.issue_count[h]))
-            return
         pool.state[h] |= ST_COMPLETED
         self._any_completed = True
-        if instr.f_load:
+        if pool.instr[h].f_load:
             source = self.lsq.forward_source(h)
             if source is not None:
                 value = pool.store_value[source]
@@ -196,12 +225,10 @@ class BackendStage:
                 pool.fwd_store[h] = None
             pool.value[h] = value
             self._broadcast(h)
-        elif instr.f_store:
+        else:
             self.lsq.store_resolved(h)
             self._gate_event = True
             self._store_executed(h)
-        else:
-            self._broadcast(h)
 
     def _broadcast(self, h: int) -> None:
         pool = self.pool

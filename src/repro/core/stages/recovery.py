@@ -9,13 +9,21 @@ re-predicts control-independent branches against the repaired history.
 Rename maps are rebuilt forward from the commit-side map and memoized
 per window epoch.
 
-Squash ordering under the columnar pool: ``_squash_node`` recycles the
-victim's slot immediately (``rob.remove`` pushes it on the free list),
-so any handle that could name the victim must be repaired *before* the
-unlink — the redispatch walk cursors of suspended contexts are advanced
-eagerly here, which is what keeps every context handle live (see the
-sequencer module docstring).  Reads of a just-freed slot's columns
-remain valid until the next allocation, and allocation only happens in
+Two squash paths.  A *suffix* (everything after a kept instruction, up
+to the tail — full squash, overturn, preemption, sequence repair, a
+restart's room-making squash) goes through ``_squash_after``: one ROB
+splice and free-list extend for the whole suffix.  The control-dependent
+region of a reconverged recovery has control-independent instructions
+after it, so ``_squash_node`` removes it slot by slot, with the reissue
+scan a squashed store owes the younger loads that survive it.
+
+Squash ordering under the columnar pool: both paths recycle the
+victims' slots immediately (the ROB pushes them on the free list), so
+any handle that could name a victim must be repaired at squash time —
+the redispatch walk cursors of suspended contexts are advanced eagerly
+here, which is what keeps every context handle live (see the sequencer
+module docstring).  Reads of a just-freed slot's columns remain valid
+until the next allocation, and allocation only happens in
 ``_dispatch``, never inside a squash cascade.
 """
 
@@ -272,14 +280,7 @@ class RecoveryStage:
     def _full_squash(self, branch: int) -> None:
         pool = self.pool
         rmap = self._map_after(branch)
-        prev_col = pool.prev
-        node = self.rob.tail
-        while node is not None and node != branch:
-            prev = prev_col[node]
-            self._squash_node(node)
-            node = prev
-            if node == HEAD:
-                break
+        self._squash_after(branch)
         pool.current_taken[branch] = pool.outcome_taken[branch]
         pool.current_next_pc[branch] = pool.outcome_next_pc[branch]
         self.frontier.rmap = rmap
@@ -292,15 +293,47 @@ class RecoveryStage:
         self._prune_contexts()
 
     def _squash_after(self, last_kept: int) -> None:
-        """Squash every instruction after ``last_kept`` (tail-first)."""
-        prev_col = self.pool.prev
-        node = self.rob.tail
-        while node is not None and node != last_kept:
-            prev = prev_col[node]
-            self._squash_node(node)
-            node = prev
-            if node == HEAD:
-                break
+        """Squash the suffix after ``last_kept``: every instruction up to
+        the tail.
+
+        The ROB unlinks and recycles the whole suffix at once
+        (:meth:`~repro.core.rob.ReorderBuffer.remove_after`), so the
+        per-slot work is only the dead bit, the LSQ drop and the
+        incomplete-branch/oldest-gate repair.  Unlike ``_squash_node``
+        there is no reissue scan for a completed store: every younger
+        load is in the suffix too, so none is left to reissue.  A
+        suspended redispatch walk parked in the suffix resumes at the
+        tail, where a tail-first per-slot squash would have left it."""
+        victims = self.rob.remove_after(last_kept)
+        if not victims:
+            return
+        self._needs_remap = True  # captured maps may now reference the dead
+        self._map_epoch += 1
+        self._gate_event = True
+        pool = self.pool
+        state = pool.state
+        instr_col = pool.instr
+        uids = pool.uid
+        incomplete = self._incomplete_branches
+        drop = self.lsq.drop
+        for h in victims:
+            state[h] |= ST_SQUASHED
+            instr = instr_col[h]
+            if instr.f_mem:
+                drop(h)
+            elif (instr.f_branch or instr.f_indirect) and (
+                incomplete.pop(uids[h], None) is not None
+            ):
+                if self._oldest_gate == h:
+                    self._oldest_gate_valid = False
+        for ctx in self.contexts:
+            cursor = ctx.walk_cursor
+            if (
+                ctx.phase == "redispatch"
+                and cursor is not None
+                and state[cursor] & ST_SQUASHED
+            ):
+                ctx.walk_cursor = TAIL
 
     def _squash_node(self, h: int) -> None:
         self._needs_remap = True  # captured maps may now reference the dead

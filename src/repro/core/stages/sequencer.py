@@ -3,14 +3,16 @@
 The sequencer owns the machine's notion of "where fetch goes next": the
 frontier context during normal operation, and a stack of restart /
 redispatch contexts while mispredictions are being serviced (paper
-Sections 3.2, 4.1; Appendix A.1).  Dispatch allocates a pool slot,
+Sections 3.2, 4.1; Appendix A.1).  Dispatch claims a pool slot,
 renames through the active context's map and links the slot into the
-reorder buffer either at the tail (frontier) or into a restart gap.
+reorder buffer either at the tail (frontier: one fused
+``ReorderBuffer.dispatch_tail`` call) or into a restart gap.
 Context fields that name instructions (``branch``, ``reconv``,
 ``insert_point``, ``walk_cursor``) hold pool handles that are always
 live or None: every squash path prunes/repairs contexts before the next
 allocation can recycle a slot (the redispatch walk cursor is advanced
-eagerly at squash time — see ``RecoveryStage._squash_node``).
+eagerly at squash time — see ``RecoveryStage._squash_after`` and
+``RecoveryStage._squash_node``).
 """
 
 from __future__ import annotations
@@ -64,77 +66,114 @@ class SequencerStage:
     # ==================================================================
     # dispatch
 
-    def _dispatch(self, ctx: _Context, pc: int) -> int | None:
-        """Fetch + rename one instruction into ``ctx``; returns the pool
-        handle, or None when fetch must stall (HALT reached / out of
-        range)."""
-        # Inlined Program.fetch: one bounds check + list index per
-        # dispatched instruction (wrong-path fetch off the end of the
-        # program is an implicit HALT).
-        if 0 <= pc < self._code_len:
-            instr = self._code[pc]
-        else:
-            ctx.stalled = True
-            return None
+    def _dispatch(self, ctx: _Context, budget: int) -> int:
+        """Fetch + rename up to ``budget`` instructions into ``ctx`` from
+        ``ctx.fetch_pc``; returns how many were dispatched.
+
+        Stops early when fetch stalls (HALT dispatched, or the fetch PC
+        left the program), when the window is full, or when a restart
+        reaches its reconvergent point; the caller then decides what
+        happens next (a restart makes room or finishes).  The loop lives
+        here rather than in the callers so the columns and context
+        fields it touches are loaded once per fetch group, not once per
+        instruction."""
         pool = self.pool
-        uid = self.uid_counter
-        self.uid_counter = uid + 1
+        rob = self.rob
+        code = self._code
+        code_len = self._code_len
         cycle = self.cycle
-        h = pool.alloc(uid, pc, instr, cycle)
-
-        if ctx.phase == "frontier":
-            ctx.segment = self.rob.append(h, ctx.segment)
-        else:
-            ctx.segment = self.rob.insert_after(ctx.insert_point, h, ctx.segment)
-            ctx.insert_point = h
-            ctx.inserted += 1
-        self.stats.fetched += 1
-        self._map_epoch += 1
-
+        frontier = ctx.phase == "frontier"
+        reconv_pc = (
+            pool.pc[ctx.reconv] if not frontier and ctx.reconv is not None else None
+        )
+        window = rob.window_size
+        unsegmented = rob.segment_size == 1
         rmap = ctx.rmap
-        node_ref = pool.ref[h]
-        t1 = t2 = None
-        if instr.reads_rs1:
-            pool.src1_tag[h] = t1 = rmap[instr.rs1]
-            t1.consumers.append(node_ref)
-        if instr.reads_rs2:
-            pool.src2_tag[h] = t2 = rmap[instr.rs2]
-            t2.consumers.append(node_ref)
-        dest = instr.dest_reg
-        if dest is not None:
-            pool.dest_arch[h] = dest
-            pool.prev_tag[h] = rmap[dest]
-            tag = PhysReg(node_ref)
-            rmap[dest] = tag
-            pool.dest_tag[h] = tag
-
-        if instr.f_mem:
-            self.lsq.add(h)
-
-        if instr.f_control:
-            self._predict_control(ctx, h)
-            ctx.fetch_pc = pool.current_next_pc[h]
-            if instr.f_branch or instr.f_indirect:
-                self._incomplete_branches[uid] = h
-                if self._oldest_gate_valid:
-                    oldest = self._oldest_gate
-                    orders = pool.order
-                    if oldest is None or orders[h] < orders[oldest]:
-                        self._oldest_gate = h
-        else:
-            ctx.fetch_pc = pc + 1
-            if instr.op is Op.HALT:
+        refs = pool.ref
+        src1_tag = pool.src1_tag
+        src2_tag = pool.src2_tag
+        dest_arch = pool.dest_arch
+        dest_tag = pool.dest_tag
+        state = pool.state
+        orders = pool.order
+        uids = pool.uid
+        ready = self._ready
+        dispatched = 0
+        while dispatched < budget and not ctx.stalled:
+            if rob.count >= window if unsegmented else rob.full:
+                break
+            pc = ctx.fetch_pc
+            if pc == reconv_pc:
+                break
+            # Inlined Program.fetch: wrong-path fetch off the end of the
+            # program is an implicit HALT.
+            if not 0 <= pc < code_len:
                 ctx.stalled = True
+                break
+            instr = code[pc]
+            uid = self.uid_counter
+            self.uid_counter = uid + 1
+            if frontier:
+                h = rob.dispatch_tail(uid, pc, instr, cycle, ctx.segment)
+                ctx.segment = pool.segment[h]
+            else:
+                h = pool.alloc(uid, pc, instr, cycle)
+                ctx.segment = rob.insert_after(ctx.insert_point, h, ctx.segment)
+                ctx.insert_point = h
+                ctx.inserted += 1
+            dispatched += 1
 
-        # Ready bookkeeping: issue no earlier than fetch + 2 (dispatch
-        # stage); a fresh slot is never already in the heap, so the
-        # _push_ready guard is inlined away.
-        if (t1 is None or t1.ready) and (t2 is None or t2.ready):
-            pool.state[h] |= ST_IN_READY
-            orders = pool.order
-            uids = pool.uid
-            heappush(self._ready, (cycle + 2, orders[h], uids[h], h))
-        return h
+            # Rename writes all four rename columns for every slot (the
+            # slot claim leaves them to this loop).
+            node_ref = refs[h]
+            if instr.reads_rs1:
+                t1 = rmap[instr.rs1]
+                t1.consumers.append(node_ref)
+            else:
+                t1 = None
+            src1_tag[h] = t1
+            if instr.reads_rs2:
+                t2 = rmap[instr.rs2]
+                t2.consumers.append(node_ref)
+            else:
+                t2 = None
+            src2_tag[h] = t2
+            dest = instr.dest_reg
+            dest_arch[h] = dest
+            if dest is not None:
+                tag = PhysReg(node_ref)
+                rmap[dest] = tag
+                dest_tag[h] = tag
+            else:
+                dest_tag[h] = None
+
+            if instr.f_mem:
+                self.lsq.add(h)
+
+            if instr.f_control:
+                self._predict_control(ctx, h)
+                ctx.fetch_pc = pool.current_next_pc[h]
+                if instr.f_branch or instr.f_indirect:
+                    self._incomplete_branches[uid] = h
+                    if self._oldest_gate_valid:
+                        oldest = self._oldest_gate
+                        if oldest is None or orders[h] < orders[oldest]:
+                            self._oldest_gate = h
+            else:
+                ctx.fetch_pc = pc + 1
+                if instr.op is Op.HALT:
+                    ctx.stalled = True
+
+            # Ready bookkeeping: issue no earlier than fetch + 2 (dispatch
+            # stage); a fresh slot is never already in the heap, so the
+            # _push_ready guard is inlined away.
+            if (t1 is None or t1.ready) and (t2 is None or t2.ready):
+                state[h] |= ST_IN_READY
+                heappush(ready, (cycle + 2, orders[h], uids[h], h))
+        if dispatched:
+            self.stats.fetched += dispatched
+            self._map_epoch += dispatched
+        return dispatched
 
     def _predict_control(self, ctx: _Context, h: int) -> None:
         cfg = self.config
@@ -218,24 +257,7 @@ class SequencerStage:
         ctx = self.frontier
         if ctx.stalled:
             return
-        budget = self.config.width
-        fetched_before = self.stats.fetched
-        rob = self.rob
-        window = rob.window_size
-        dispatch = self._dispatch
-        if rob.segment_size == 1:
-            # slots_used == count: test the counter directly instead of
-            # paying two property calls per fetched instruction.
-            while budget > 0 and rob.count < window and not ctx.stalled:
-                if dispatch(ctx, ctx.fetch_pc) is None:
-                    break
-                budget -= 1
-        else:
-            while budget > 0 and not rob.full and not ctx.stalled:
-                if dispatch(ctx, ctx.fetch_pc) is None:
-                    break
-                budget -= 1
-        if self.stats.fetched != fetched_before:
+        if self._dispatch(ctx, self.config.width):
             self.stats.stage_fetch_cycles += 1
 
     def _restart_fetch(self, ctx: _Context) -> None:
@@ -260,10 +282,14 @@ class SequencerStage:
                 if not self._squash_youngest_ci(ctx):
                     return  # cannot make room this cycle
                 continue
-            if self._dispatch(ctx, ctx.fetch_pc) is None:
+            # _dispatch stops at each condition above, so the next pass
+            # re-checks them in this order; nothing dispatched means the
+            # fetch PC left the program.
+            dispatched = self._dispatch(ctx, budget)
+            if not dispatched:
                 self._finish_restart(ctx)
                 return
-            budget -= 1
+            budget -= dispatched
         if ctx.reconv is not None and ctx.fetch_pc == pc_col[ctx.reconv]:
             self._finish_restart(ctx)
 
@@ -286,7 +312,7 @@ class SequencerStage:
         self.frontier.fetch_pc = self.pool.pc[victim]
         self.frontier.stalled = False
         self.frontier.segment = None
-        self._squash_node(victim)
+        self._squash_after(self.pool.prev[victim])
         self._prune_contexts()
         if ctx not in self.contexts or ctx.reconv is None:
             return False  # the restart itself was invalidated by the squash

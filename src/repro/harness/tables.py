@@ -142,12 +142,17 @@ def format_simple_map(title: str, data: dict, percent: bool = False) -> str:
     """Generic formatter for {workload: {config: value}} results."""
     lines = [title]
     configs = list(next(iter(data.values())).keys())
-    lines.append(f"{'benchmark':10s}" + "".join(f"{c:>14s}" for c in configs))
+    # Every column is at least one character wider than its longest
+    # label, so adjacent headers never run together.
+    width = max(14, 1 + max(len(str(c)) for c in configs))
+    lines.append(f"{'benchmark':10s}" + "".join(f"{c:>{width}s}" for c in configs))
     for name, per_config in data.items():
         cells = []
         for config in configs:
             value = per_config[config]
-            cells.append(f"{value:13.1f}%" if percent else f"{value:14.2f}")
+            cells.append(
+                f"{value:{width - 1}.1f}%" if percent else f"{value:{width}.2f}"
+            )
         lines.append(f"{name:10s}" + "".join(cells))
     return "\n".join(lines)
 

@@ -257,7 +257,10 @@ NUM_OPCODES = max(op.value for op in Op) + 1
 
 def effective_addr(instr: Instruction, a: int) -> int:
     """Effective address of a memory instruction given its base value."""
-    return to_signed(a + instr.imm)
+    addr = a + instr.imm
+    if -_SIGN_BIT <= addr < _SIGN_BIT:  # in range: its own wrap
+        return addr
+    return to_signed(addr)
 
 
 def _make_raw_tables() -> tuple[list, list]:
@@ -271,8 +274,10 @@ def _make_raw_tables() -> tuple[list, list]:
     stage reads these directly so its hot loop allocates no result
     object per issued instruction; :func:`evaluate`'s ``ExecResult``
     handlers are rebuilt on top of the same kernels, keeping a single
-    definition of every opcode's semantics (``_alu`` remains the one
-    arithmetic definition)."""
+    definition of every opcode's semantics.  ``_alu`` remains the one
+    arithmetic definition: the dedicated kernels of the commonest ops
+    (ADD, ADDI, SUB, MUL, AND, ANDI, SRLI, SLT, SLTI) are hot-path
+    spellings of it, checked against it on edge operands."""
 
     def alu_rr(op: Op):
         def kernel(instr, a, b, _op=op):
@@ -289,15 +294,78 @@ def _make_raw_tables() -> tuple[list, list]:
     def li(instr, a, b):
         return to_signed(instr.imm)
 
+    # The commonest ALU ops get dedicated kernels with the 64-bit wrap
+    # inlined: a result already in signed range is its own wrap, so only
+    # an overflowing result pays to_signed.  Each must agree with _alu on
+    # every operand (tests/test_isa.py checks the edge values).
+    def add(instr, a, b):
+        v = a + b
+        if -_SIGN_BIT <= v < _SIGN_BIT:
+            return v
+        return to_signed(v)
+
+    def addi(instr, a, b):
+        v = a + instr.imm
+        if -_SIGN_BIT <= v < _SIGN_BIT:
+            return v
+        return to_signed(v)
+
+    def sub(instr, a, b):
+        v = a - b
+        if -_SIGN_BIT <= v < _SIGN_BIT:
+            return v
+        return to_signed(v)
+
+    def mul(instr, a, b):
+        v = a * b
+        if -_SIGN_BIT <= v < _SIGN_BIT:
+            return v
+        return to_signed(v)
+
+    def and_(instr, a, b):
+        v = a & b
+        if -_SIGN_BIT <= v < _SIGN_BIT:
+            return v
+        return to_signed(v)
+
+    def andi(instr, a, b):
+        v = a & instr.imm
+        if -_SIGN_BIT <= v < _SIGN_BIT:
+            return v
+        return to_signed(v)
+
+    def srli(instr, a, b):
+        v = (a & _WORD_MASK) >> (instr.imm & 63)
+        return v - (1 << 64) if v & _SIGN_BIT else v
+
+    def slt(instr, a, b):
+        return 1 if a < b else 0
+
+    def slti(instr, a, b):
+        return 1 if a < instr.imm else 0
+
     def nothing(instr, a, b):
         return None
 
-    def branch(cmp):
-        def kernel(instr, pc, a, b, _cmp=cmp):
-            taken = _cmp(a, b)
-            return taken, (instr.target if taken else pc + 1), None
+    def beq(instr, pc, a, b):
+        if a == b:
+            return True, instr.target, None
+        return False, pc + 1, None
 
-        return kernel
+    def bne(instr, pc, a, b):
+        if a != b:
+            return True, instr.target, None
+        return False, pc + 1, None
+
+    def blt(instr, pc, a, b):
+        if a < b:
+            return True, instr.target, None
+        return False, pc + 1, None
+
+    def bge(instr, pc, a, b):
+        if a >= b:
+            return True, instr.target, None
+        return False, pc + 1, None
 
     def jump(instr, pc, a, b):
         return True, instr.target, None
@@ -314,12 +382,21 @@ def _make_raw_tables() -> tuple[list, list]:
         values[op.value] = alu_rr(op)
     for op in ALU_RI_OPS:
         values[op.value] = li if op is Op.LI else alu_ri(op)
+    values[Op.ADD.value] = add
+    values[Op.ADDI.value] = addi
+    values[Op.SUB.value] = sub
+    values[Op.MUL.value] = mul
+    values[Op.AND.value] = and_
+    values[Op.ANDI.value] = andi
+    values[Op.SRLI.value] = srli
+    values[Op.SLT.value] = slt
+    values[Op.SLTI.value] = slti
     values[Op.NOP.value] = nothing
     values[Op.HALT.value] = nothing
-    control[Op.BEQ.value] = branch(lambda a, b: a == b)
-    control[Op.BNE.value] = branch(lambda a, b: a != b)
-    control[Op.BLT.value] = branch(lambda a, b: a < b)
-    control[Op.BGE.value] = branch(lambda a, b: a >= b)
+    control[Op.BEQ.value] = beq
+    control[Op.BNE.value] = bne
+    control[Op.BLT.value] = blt
+    control[Op.BGE.value] = bge
     control[Op.JUMP.value] = jump
     control[Op.CALL.value] = call
     control[Op.JR.value] = jr

@@ -17,6 +17,12 @@ from repro.isa import (
     evaluate,
     to_signed,
 )
+from repro.isa.instructions import (
+    CONTROL_KERNELS,
+    VALUE_KERNELS,
+    _alu,
+    effective_addr,
+)
 
 i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
@@ -135,6 +141,108 @@ class TestControlSemantics:
         result = evaluate(Instruction(Op.STORE, rs1=2, rs2=3, imm=8), 0, 100, 55)
         assert result.addr == 108
         assert result.store_value == 55
+
+
+#: edge operands every raw kernel must agree with _alu/evaluate on
+EDGE_OPERANDS = (0, 1, -1, 2**63 - 1, -(2**63))
+SHIFT_COUNTS = (0, 63, 64, 127)
+SHIFT_OPS = frozenset({Op.SLL, Op.SRL, Op.SLLI, Op.SRLI})
+FAST_KERNEL_OPS = (
+    Op.ADD, Op.ADDI, Op.SUB, Op.MUL, Op.AND, Op.ANDI, Op.SRLI, Op.SLT, Op.SLTI,
+)
+
+
+def _second_operands(op):
+    return EDGE_OPERANDS + (SHIFT_COUNTS if op in SHIFT_OPS else ())
+
+
+def _value_kernel_result(op, a, b):
+    """Run ``op``'s raw value kernel with second operand ``b`` in rs2 or
+    the immediate, poisoning the operand the form must ignore."""
+    if op in ALU_RR_OPS:
+        return VALUE_KERNELS[op.value](Instruction(op, rd=1, rs1=2, rs2=3), a, b)
+    return VALUE_KERNELS[op.value](Instruction(op, rd=1, rs1=2, imm=b), a, 12345)
+
+
+class TestRawKernels:
+    """The core's execute stage calls VALUE_KERNELS/CONTROL_KERNELS
+    directly; each entry must agree with ``_alu`` (the one arithmetic
+    definition) or ``evaluate`` on the edges of the 64-bit range."""
+
+    def test_every_opcode_has_exactly_one_kernel_kind(self):
+        values = {op for op in Op if VALUE_KERNELS[op.value] is not None}
+        controls = {op for op in Op if CONTROL_KERNELS[op.value] is not None}
+        assert values == ALU_RR_OPS | ALU_RI_OPS | {Op.NOP, Op.HALT}
+        assert controls == COND_BRANCH_OPS | {Op.JUMP, Op.CALL, Op.JR}
+
+    @pytest.mark.parametrize(
+        "op", sorted(ALU_RR_OPS | ALU_RI_OPS, key=lambda o: o.value),
+        ids=lambda o: o.name,
+    )
+    def test_value_kernel_matches_alu_on_edges(self, op):
+        for a in EDGE_OPERANDS:
+            for b in _second_operands(op):
+                got = _value_kernel_result(op, a, b)
+                expected = to_signed(b) if op is Op.LI else _alu(op, a, b)
+                assert got == expected, (op, a, b)
+                assert type(got) is int and -(2**63) <= got < 2**63
+                assert evaluate(
+                    Instruction(op, rd=1, rs1=2, rs2=3, imm=b), 0, a, b
+                ).value == expected
+
+    def test_division_edges(self):
+        assert _value_kernel_result(Op.DIV, 7, 0) == -1
+        assert _value_kernel_result(Op.REM, 7, 0) == 7
+        assert _value_kernel_result(Op.DIV, -(2**63), -1) == -(2**63)
+        assert _value_kernel_result(Op.REM, -(2**63), -1) == 0
+
+    def test_effective_addr_wraps_like_to_signed(self):
+        for a in EDGE_OPERANDS:
+            for imm in EDGE_OPERANDS:
+                instr = Instruction(Op.LOAD, rd=1, rs1=2, imm=imm)
+                assert effective_addr(instr, a) == to_signed(a + imm)
+
+    def test_nop_and_halt_write_nothing(self):
+        for op in (Op.NOP, Op.HALT):
+            assert VALUE_KERNELS[op.value](Instruction(op), 5, 6) is None
+
+    @given(st.integers(), st.integers())
+    def test_fast_kernels_match_alu_on_any_int(self, a, b):
+        """The inlined wrap must hold for operands outside the signed
+        range too (loads can return any value a program's data holds)."""
+        for op in FAST_KERNEL_OPS:
+            assert _value_kernel_result(op, a, b) == _alu(op, a, b)
+
+    @pytest.mark.parametrize(
+        "op", sorted(COND_BRANCH_OPS, key=lambda o: o.value), ids=lambda o: o.name
+    )
+    def test_branch_kernel_matches_evaluate_on_edges(self, op):
+        compare = {
+            Op.BEQ: lambda a, b: a == b,
+            Op.BNE: lambda a, b: a != b,
+            Op.BLT: lambda a, b: a < b,
+            Op.BGE: lambda a, b: a >= b,
+        }[op]
+        instr = Instruction(op, rs1=1, rs2=2, target=40)
+        for a in EDGE_OPERANDS:
+            for b in EDGE_OPERANDS:
+                taken = compare(a, b)
+                got = CONTROL_KERNELS[op.value](instr, 9, a, b)
+                assert got == (taken, 40 if taken else 10, None), (op, a, b)
+                result = evaluate(instr, 9, a, b)
+                assert (result.taken, result.next_pc, result.value) == got
+
+    @pytest.mark.parametrize("a", EDGE_OPERANDS)
+    def test_jump_kernels_match_evaluate_on_edges(self, a):
+        cases = {
+            Op.JUMP: (Instruction(Op.JUMP, target=40), (True, 40, None)),
+            Op.CALL: (Instruction(Op.CALL, rd=REG_RA, target=40), (True, 40, 10)),
+            Op.JR: (Instruction(Op.JR, rs1=REG_RA), (True, to_signed(a), None)),
+        }
+        for op, (instr, expected) in cases.items():
+            assert CONTROL_KERNELS[op.value](instr, 9, a, 0) == expected
+            result = evaluate(instr, 9, a, 0)
+            assert (result.taken, result.next_pc, result.value) == expected
 
 
 class TestSourcesAndDest:

@@ -258,3 +258,89 @@ class TestSegments:
 
         with pytest.raises(ValueError):
             ReorderBuffer(10, segment_size=4)
+
+
+def pool_snapshot(rob):
+    """Every pool column plus the ROB's bookkeeping, with segments named
+    by first appearance (Segment objects differ by identity only).  The
+    links of unlinked slots are left out: nothing reads them before the
+    slot is linked again."""
+    pool = rob.pool
+    names: dict[int, int] = {}
+    segments = [
+        None if seg is None else (names.setdefault(id(seg), len(names)), seg.live)
+        for seg in pool.segment
+    ]
+    linked = {0, TAIL, *rob.iter_all()}
+    columns = {}
+    for name in pool.__slots__:
+        if name == "segment":
+            continue
+        value = getattr(pool, name)
+        if name in ("prev", "next"):
+            value = [value[h] if h in linked else None for h in range(pool.capacity)]
+        elif not isinstance(value, int):
+            value = list(value)
+        columns[name] = value
+    return (columns, segments, rob.count, rob.segments_allocated,
+            list(rob._alive_orders), getattr(rob, "_next_order", None))
+
+
+class TestFusedPaths:
+    """The fused frontier claim and the suffix splice must leave exactly
+    the state their per-step spellings leave, column by column."""
+
+    @pytest.mark.parametrize("scheme", ["v1", "v2"])
+    @pytest.mark.parametrize("segment_size", [1, 4])
+    def test_dispatch_tail_matches_alloc_plus_append(self, scheme, segment_size):
+        fused = ReorderBuffer(32, segment_size, order_scheme=scheme)
+        stepped = ReorderBuffer(32, segment_size, order_scheme=scheme)
+        fused_seg = stepped_seg = None
+        uid = 0
+        for wave in range(6):
+            while fused.count < 24:
+                h = fused.dispatch_tail(uid, 3 * uid, _NOP, wave, fused_seg)
+                fused_seg = fused.pool.segment[h]
+                g = stepped.pool.alloc(uid, 3 * uid, _NOP, wave)
+                stepped_seg = stepped.append(g, stepped_seg)
+                assert h == g
+                uid += 1
+            # dirty the recycled slots' columns before they come back
+            for rob in (fused, stepped):
+                for h in list(rob.iter_all())[-10:]:
+                    rob.pool.value[h] = rob.pool.addr[h] = 99
+                    rob.pool.issue_count[h] = 3
+                    rob.pool.state[h] |= 0b111
+                rob.remove_after(list(rob.iter_all())[-11])
+            assert pool_snapshot(fused) == pool_snapshot(stepped)
+        assert pool_snapshot(fused) == pool_snapshot(stepped)
+
+    def test_dispatch_tail_raises_pool_exhausted(self):
+        from repro.errors import PoolExhausted
+
+        rob = ReorderBuffer(4)
+        for uid in range(4):
+            rob.dispatch_tail(uid, uid, _NOP, 0, None)
+        with pytest.raises(PoolExhausted):
+            rob.dispatch_tail(4, 4, _NOP, 0, None)
+
+    @pytest.mark.parametrize("scheme", ["v1", "v2"])
+    @pytest.mark.parametrize("segment_size", [1, 4])
+    @pytest.mark.parametrize("keep", [0, 1, 7, 19, 20])
+    def test_remove_after_matches_tail_first_removes(self, scheme, segment_size, keep):
+        spliced = ReorderBuffer(20, segment_size, order_scheme=scheme)
+        stepped = ReorderBuffer(20, segment_size, order_scheme=scheme)
+        for rob in (spliced, stepped):
+            seg = None
+            for uid in range(20):
+                seg = rob.append(alloc(rob, uid), seg)
+        handles = list(spliced.iter_all())
+        last_kept = handles[keep - 1] if keep else 0  # 0 is HEAD
+        victims = spliced.remove_after(last_kept)
+        assert victims == handles[keep:][::-1]  # tail-first
+        for h in victims:
+            stepped.remove(h)
+        assert window_uids(spliced) == list(range(keep))
+        assert pool_snapshot(spliced) == pool_snapshot(stepped)
+        assert spliced.pool.live == spliced.count == keep
+        assert_orders_consistent(spliced)

@@ -64,6 +64,27 @@ class TestCleanRuns:
                     completion_model=model, sanitize=True, sanitize_stride=1)
         assert stats.retired == len(golden)
 
+    @pytest.mark.parametrize(
+        "policy", [ReconvPolicy.NONE, ReconvPolicy.POSTDOM, ReconvPolicy.RETURN_LOOP_LTB]
+    )
+    def test_segmented_window_clean_at_stride_one(self, bundle, policy):
+        """Segment accounting (``segment_size=4``) keeps every audit —
+        including the pool-free-list segment count — clean."""
+        program, golden, table = bundle
+        stats = run(program, golden, table, reconv_policy=policy,
+                    segment_size=4, sanitize=True, sanitize_stride=1)
+        assert stats.retired == len(golden)
+
+    @pytest.mark.parametrize(
+        "policy", [ReconvPolicy.NONE, ReconvPolicy.POSTDOM], ids=["BASE", "CI"]
+    )
+    def test_segmented_window_no_missed_gate_wakeups(self, bundle, policy):
+        program, golden, table = bundle
+        stats = run(program, golden, table, reconv_policy=policy,
+                    completion_model=CompletionModel.NON_SPEC, segment_size=4,
+                    sanitize=True, sanitize_stride=1)
+        assert stats.retired == len(golden)
+
     def test_sanitizer_does_not_change_statistics(self, bundle):
         program, golden, table = bundle
         plain = run(program, golden, table, sanitize=False)
@@ -191,6 +212,53 @@ class TestFaultLocalization:
             pytest.fail("sanitizer ran while disabled")
         except Exception:
             pass  # any other checker may legitimately trip later
+
+
+class TestPoolFreeListAudit:
+    """Slot leaks and double frees are named ``pool-free-list`` at the
+    next check, with the slot in the message."""
+
+    def midrun(self, bundle, **cfg_kwargs):
+        program, golden, table = bundle
+        proc = Processor(program, CoreConfig(window_size=128, **cfg_kwargs),
+                         golden, table)
+        proc.start()
+        # Stop mid-run with instructions in flight and free slots left.
+        while proc.cycle < 150 or not (proc.pool._free and proc.rob.count):
+            assert proc.step()
+        MachineSanitizer().check(proc)  # clean before the corruption
+        return proc
+
+    def assert_named(self, proc, *fragments):
+        with pytest.raises(SanitizerError) as excinfo:
+            MachineSanitizer().check(proc)
+        err = excinfo.value
+        assert err.structure == "pool-free-list"
+        assert "pool-free-list" in STRUCTURES
+        for fragment in fragments:
+            assert fragment in str(err)
+
+    def test_leaked_slot_named(self, bundle):
+        proc = self.midrun(bundle)
+        leaked = proc.pool._free.pop()
+        self.assert_named(proc, "leaked", str(leaked))
+
+    def test_double_free_of_a_free_slot_named(self, bundle):
+        proc = self.midrun(bundle)
+        twice = proc.pool._free[0]
+        proc.pool._free.append(twice)
+        self.assert_named(proc, "double free", str(twice))
+
+    def test_double_free_of_a_linked_slot_named(self, bundle):
+        proc = self.midrun(bundle)
+        head = proc.rob.head
+        proc.pool._free.append(head)
+        self.assert_named(proc, "also on the free list", proc.pool.describe(head))
+
+    def test_segment_count_drift_named(self, bundle):
+        proc = self.midrun(bundle, segment_size=4)
+        proc.rob.segments_allocated += 1
+        self.assert_named(proc, "segments_allocated")
 
 
 class TestFaultLocalizationOnGeneratedWorkloads:

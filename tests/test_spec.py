@@ -297,6 +297,19 @@ class TestFormatters:
         text = format_experiment("figure12", {"go": {"timing": 1.0}})
         assert "FIGURE 12" in text and "timing" in text
 
+    @pytest.mark.parametrize("name", ["figure12", "figure17"])
+    def test_simple_map_headers_stand_alone(self, name):
+        """Long config names (``oracle-history``, ``return/loop/ltb``)
+        must not run into their neighbours in the heading."""
+        labels = [cell.label for cell in get_spec(name).cells]
+        data = {"go": dict.fromkeys(labels, 1.0), "gcc": dict.fromkeys(labels, -2.5)}
+        lines = format_experiment(name, data).splitlines()
+        assert lines[1].split() == ["benchmark", *labels]
+        # value columns line up under their headings
+        for row in lines[2:]:
+            assert len(row) == len(lines[1])
+            assert len(row.split()) == 1 + len(labels)
+
     def test_format_rows_rejects_mixed_experiments(self):
         rows = [
             CellRow(experiment="figure5", workload="go", data={}),
